@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
+3 internal fault (an exhausted rewrite budget or a failed self-check).
 Every randomized subcommand takes --seed (default 0) and is
 bit-reproducible; --json switches the human-readable text to machine
 records.
@@ -165,9 +166,9 @@ def cmd_reproduce(args) -> int:
     if args.case == "richardson":
         if args.n is None or args.k is None:
             raise ValueError("case richardson needs --n and --k")
-        report = presentations.toric_suite(args.n, args.k, threads=args.threads)
+        report = presentations.toric_suite(args.n, args.k)
     else:
-        report = presentations.case_suite(args.case, threads=args.threads)
+        report = presentations.case_suite(args.case)
     payload = {
         "case": report.case,
         "total": len(report.records),
@@ -280,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
         p.add_argument("--json", action="store_true", help="emit JSON records")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized draws")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
         return p
 
     p = add("minimal", cmd_minimal, help="minimal (semi)stable Schubert indices")
@@ -349,9 +349,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

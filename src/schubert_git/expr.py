@@ -175,7 +175,10 @@ def parse_expr(text: str, n: int | None = None) -> Node:
     Prod(factors=(PVar(i=1, j=2), PVar(i=3, j=4)))
     """
     parser = _Parser(text, n)
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise parser.error("expression nested too deeply") from None
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("unexpected trailing input")

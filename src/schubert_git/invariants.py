@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import case_studies, linalg
-from .formal import x_monomial
 from .poly import Monomial, Poly
 from .straightening import SupportRange, _monomial_normal_form
 from .weyl import check_pair
@@ -195,36 +194,24 @@ def multiplication_kernel(support: SupportRange, d_target: int) -> list[Poly]:
         raise ValueError(f"relation degree must be 2 or 3, got {d_target}")
     _, combos, rows, _ = _product_matrix(support, d_target)
     kernel = linalg.left_nullspace(rows)
-    out = []
-    for vec in kernel:
-        poly = Poly.zero()
-        for combo, coeff in zip(combos, vec):
-            if coeff:
-                poly = poly + x_monomial(tuple(i + 1 for i in combo), coeff)
-        out.append(poly)
-    return out
+    # Each combo is nondecreasing, so its x tokens are already a sorted
+    # monomial, and distinct combos give distinct monomials.
+    monomials = [tuple(("x", i + 1) for i in combo) for combo in combos]
+    return [Poly({m: c for m, c in zip(monomials, vec) if c}) for vec in kernel]
 
 
 def degree_one_generation_check(support: SupportRange, d: int) -> bool:
     """True iff d-fold products of degree-one invariants span the whole
-    degree-d invariant space (exact rank comparison).
+    degree-d invariant space.
 
-    A modular rank is computed first: since the product span always sits
-    inside the degree-d space, full modular rank already certifies full
-    rational rank.  Only a modular shortfall falls back to exact
-    elimination.
+    The certificate is the exact rank over Q of the product matrix, whose
+    rows are the products' normal forms in the standard invariant basis;
+    generation holds iff that rank equals the basis size.
     """
     if d < 2:
         raise ValueError(f"generation degree must be >= 2, got {d}")
     _, _, rows, basis = _product_matrix(support, d)
-    target = len(basis)
-    if not rows:
-        return target == 0
-    if all(x.denominator == 1 for row in rows for x in row):
-        int_rows = [[x.numerator for x in row] for row in rows]
-        if linalg.rank_mod(int_rows) == target:
-            return True
-    return linalg.rank(rows) == target
+    return linalg.rank(rows) == len(basis)
 
 
 def projective_window_products_standard(n: int, k: int, d: int = 2) -> bool:

@@ -1,140 +1,102 @@
 """Exact linear algebra over the rationals.
 
-Fraction-free (Bareiss) forward elimination for ranks, reduced row echelon
-form for normalized kernel bases, and a modular rank shortcut for large
-integer matrices.  Column order is never permuted, so pivot positions are
-deterministic functions of the input.
+One sparse Gauss–Jordan eliminator serves every rank and kernel in the
+package.  A row is a ``{column: value}`` dict holding only its nonzero
+entries, and every pivot row is kept fully reduced (leading 1, zeros in all
+other pivot columns), so the reduced row echelon form comes out directly.
+Columns are never permuted: a pivot is always the leftmost nonzero entry of
+its row, so the result is the unique RREF of the row space.  All arithmetic
+is exact; there is no modular step.  Integral values are held as ``int``
+and only the others as ``Fraction``, since the matrices met here are
+integral and ``int`` arithmetic is many times faster.
+
+The public functions take dense row sequences and return dense ``Fraction``
+lists; the sparse form is internal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-Matrix = list[list[Fraction]]
-
-
-def _copy(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+Scalar = Fraction | int
+SparseRow = dict[int, Scalar]
 
 
-def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank by fraction-free Gaussian elimination (Bareiss).
+def _exact(x: Scalar) -> Scalar:
+    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
-    Divisions in the Bareiss update are exact, so integer input stays
-    integral throughout.
+
+def _rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """Reduced row echelon form of the span of ``rows``, as
+    ``{pivot column: row}``.  The input rows are not modified.
+
+    The RREF does not depend on the order rows are taken in, so the
+    sparsest go first: that keeps the fill-in of the pivot rows small.
     """
-    m = _copy(rows)
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    piv_row = 0
-    prev = Fraction(1)
-    for col in range(n_cols):
-        pivot = next((r for r in range(piv_row, n_rows) if m[r][col]), None)
-        if pivot is None:
+    pivots: dict[int, SparseRow] = {}
+    for source in sorted(rows, key=len):
+        row = dict(source)
+        for col in [c for c in row if c in pivots]:
+            factor = row[col]
+            for c, v in pivots[col].items():
+                x = row.get(c, 0) - factor * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+        if not row:
             continue
-        if pivot != piv_row:
-            m[piv_row], m[pivot] = m[pivot], m[piv_row]
-        p = m[piv_row][col]
-        for r in range(piv_row + 1, n_rows):
-            factor = m[r][col]
-            row_r, row_p = m[r], m[piv_row]
-            for c in range(col, n_cols):
-                row_r[c] = (row_r[c] * p - factor * row_p[c]) / prev
-        prev = p
-        piv_row += 1
-        if piv_row == n_rows:
-            break
-    return piv_row
+        lead = min(row)
+        scale = Fraction(row[lead])
+        if scale != 1:
+            row = {c: _exact(v / scale) for c, v in row.items()}
+        for other in pivots.values():
+            factor = other.get(lead)
+            if factor:
+                for c, v in row.items():
+                    x = other.get(c, 0) - factor * v
+                    if x:
+                        other[c] = x
+                    else:
+                        del other[c]
+        pivots[lead] = row
+    return pivots
 
 
-def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    m = _copy(rows)
-    if not m:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: list[int] = []
-    piv_row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(piv_row, n_rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != piv_row:
-            m[piv_row], m[pivot] = m[pivot], m[piv_row]
-        p = m[piv_row][col]
-        m[piv_row] = [x / p for x in m[piv_row]]
-        for r in range(n_rows):
-            if r != piv_row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[piv_row])]
-        pivots.append(col)
-        piv_row += 1
-        if piv_row == n_rows:
-            break
-    return m, pivots
+def rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Exact rank over Q."""
+    return len(_rref({c: _exact(x) for c, x in enumerate(row) if x} for row in rows))
 
 
-def right_nullspace(rows: Sequence[Sequence[Fraction | int]], n_cols: int) -> list[list[Fraction]]:
-    """Basis of ``{x : M x = 0}``, returned in reduced row echelon form.
+def left_nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
+    """Basis of ``{c : c M = 0}`` in reduced row echelon form.
 
-    ``n_cols`` must be passed explicitly so empty matrices keep their
-    column count.
+    The kernel's pivots are the rows of ``M`` that depend on the rows after
+    them.  Eliminating the columns of ``M`` with its row indices reversed
+    finds them as the free columns; the identity on the free columns then
+    makes each basis vector a reduced-row-echelon row in the original order.
     """
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis: list[list[Fraction]] = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for row_idx, piv_col in enumerate(pivots):
-            vec[piv_col] = -reduced[row_idx][free]
-        basis.append(vec)
-    if not basis:
-        return []
-    normalized, _ = rref(basis)
-    return [row for row in normalized if any(row)]
-
-
-def left_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
-    """Basis of ``{c : c M = 0}`` in reduced row echelon form."""
     if not rows:
         return []
-    n_rows = len(rows)
-    transpose = [[rows[r][c] for r in range(n_rows)] for c in range(len(rows[0]))]
-    return right_nullspace(transpose, n_rows)
-
-
-_DEFAULT_PRIME = (1 << 31) - 1
-
-
-def rank_mod(rows: Sequence[Sequence[int]], prime: int = _DEFAULT_PRIME) -> int:
-    """Rank of an integer matrix over F_p.
-
-    Always a lower bound for the rational rank; used as a fast certificate
-    when the expected rank is an a-priori upper bound.
-    """
-    m = [[x % prime for x in row] for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    piv_row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(piv_row, n_rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != piv_row:
-            m[piv_row], m[pivot] = m[pivot], m[piv_row]
-        inv = pow(m[piv_row][col], prime - 2, prime)
-        prow = m[piv_row]
-        for r in range(piv_row + 1, n_rows):
-            if m[r][col]:
-                factor = (m[r][col] * inv) % prime
-                row = m[r]
-                m[r] = [(a - factor * b) % prime for a, b in zip(row, prow)]
-        piv_row += 1
-        if piv_row == n_rows:
-            break
-    return piv_row
+    last = len(rows) - 1
+    columns: list[SparseRow] = [{} for _ in rows[0]]
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if x:
+                columns[c][last - r] = _exact(x)
+    pivots = _rref(columns)
+    kernel = {last - f: {last - f: 1} for f in range(last + 1) if f not in pivots}
+    for p, row in pivots.items():
+        for f, v in row.items():
+            if f != p:
+                kernel[last - f][last - p] = -v
+    out = []
+    for lead in sorted(kernel):
+        vec = [Fraction(0)] * len(rows)
+        for r, v in kernel[lead].items():
+            vec[r] = Fraction(v)
+        out.append(vec)
+    return out

@@ -7,7 +7,6 @@ by side; nothing is silently patched.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -66,23 +65,13 @@ def _check_one(case_name: str, identity: Identity, support: SupportRange) -> Ide
 
 
 def _run_checks(
-    case_name: str,
-    identities: Iterable[Identity],
-    support: SupportRange,
-    threads: int = 1,
+    case_name: str, identities: Iterable[Identity], support: SupportRange
 ) -> SuiteReport:
-    items = list(identities)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(
-                pool.map(lambda ident: _check_one(case_name, ident, support), items)
-            )
-    else:
-        records = [_check_one(case_name, ident, support) for ident in items]
+    records = [_check_one(case_name, ident, support) for ident in identities]
     return SuiteReport(case_name, tuple(records))
 
 
-def case_suite(name: str, threads: int = 1) -> SuiteReport:
+def case_suite(name: str) -> SuiteReport:
     """Verify every recorded identity of one explicit case study,
     including its presentation relations."""
     case = case_studies.CASES.get(name)
@@ -92,15 +81,15 @@ def case_suite(name: str, threads: int = 1) -> SuiteReport:
         )
     support = SupportRange(case.n, case.v, case.w)
     identities = list(case.identities) + case_studies.case_kernel_identities(case)
-    return _run_checks(case.name, identities, support, threads)
+    return _run_checks(case.name, identities, support)
 
 
-def toric_suite(n: int, k: int, threads: int = 1) -> SuiteReport:
+def toric_suite(n: int, k: int) -> SuiteReport:
     """Verify both identity families of the toric window v=(1,k+1),
     w=(n/2+2,n)."""
     support = SupportRange(n, (1, k + 1), (n // 2 + 2, n))
     identities = case_studies.toric_identities(n, k)
-    return _run_checks(f"richardson-n{n}-k{k}", identities, support, threads)
+    return _run_checks(f"richardson-n{n}-k{k}", identities, support)
 
 
 @dataclass(frozen=True)
@@ -142,7 +131,7 @@ def jacobian(
                 for k in range(1, len(values) + 1)
             )
         )
-    rank = linalg.rank([list(r) for r in rows]) if rows else 0
+    rank = linalg.rank(rows)
     return JacobianReport(tuple(rows), rank, codim_target)
 
 

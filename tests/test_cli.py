@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
+from schubert_git import cli
 from schubert_git.cli import main
+from schubert_git.straightening import StraighteningLimit
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -134,6 +136,17 @@ def test_candidates(capsys):
 def test_parameter_error_exit_code(capsys):
     assert main(["straighten", "p[1,9]", "--n", "6"]) == 2
     assert main(["candidates", "--n", "6", "--w", "2,6"]) == 2
+    deep = "(" * 1200 + "p[1,2]" + ")" * 1200
+    assert main(["straighten", deep, "--n", "4"]) == 2
+
+
+def test_internal_fault_exit_code(capsys, monkeypatch):
+    def exhausted(poly, support):
+        raise StraighteningLimit("exceeded the rewrite step ceiling")
+
+    monkeypatch.setattr(cli, "straighten", exhausted)
+    assert main(["straighten", "p[2,5]*p[3,4]", "--n", "6"]) == 3
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_json_schema_stability(capsys):
