@@ -13,7 +13,13 @@ from .weyl import (
     weight_root_coords,
 )
 from .plucker import PlaneMatrix, evaluate, plucker_relation, pmono, pvar
-from .straightening import SupportRange, is_standard, standard_basis, straighten
+from .straightening import (
+    Straightener,
+    SupportRange,
+    is_standard,
+    standard_basis,
+    straighten,
+)
 from .invariants import (
     GeneratorSet,
     content,
@@ -63,6 +69,7 @@ __all__ = [
     "plucker_relation",
     "pmono",
     "pvar",
+    "Straightener",
     "SupportRange",
     "is_standard",
     "standard_basis",

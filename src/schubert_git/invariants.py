@@ -10,13 +10,13 @@ times among its factors, i.e. its content vector is ``(d, ..., d)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import Callable
 
 from . import case_studies, linalg
 from .poly import Monomial, Poly
-from .straightening import SupportRange, _monomial_normal_form
-from .weyl import check_pair
+from .straightening import Straightener, SupportRange
+from .weyl import Pair, check_pair
 
 
 def content(factors: Monomial, n: int) -> tuple[int, ...]:
@@ -51,48 +51,56 @@ class GeneratorSet:
         return [pmono(m) for m in self.monomials]
 
 
-def _enumerate_invariant_chains(support: SupportRange, d: int) -> list[Monomial]:
-    """Depth-first chain extension with content pruning.
+def _enumerate_invariant_chains(
+    support: SupportRange, d: int, leaf: Callable[[list[Pair]], None] | None = None
+) -> int:
+    """Depth-first chain extension with content pruning; returns the
+    number of invariant chains and hands each one to ``leaf`` if given.
 
     Each new factor must start at the first row index whose count is still
     below ``d``: later factors are componentwise larger, so a skipped index
-    could never be completed.
+    could never be completed.  Indices below the previous factor's start
+    are therefore complete, and the search for the next start begins there.
     """
     n, v, w = support.n, support.v, support.w
     length = d * n // 2
-    counts = [0] * (n + 1)
-    out: list[Monomial] = []
-    chain: list[tuple[int, int]] = []
+    counts = [0] * (n + 2)
+    counts[n + 1] = -1  # sentinel: the scan below always stops at n + 1
+    chain: list[Pair] = []
 
-    def first_incomplete() -> int:
-        for i in range(1, n + 1):
-            if counts[i] < d:
-                return i
-        return n + 1
-
-    def extend(remaining: int) -> None:
+    def extend(remaining: int, a: int) -> int:
         if remaining == 0:
-            out.append(tuple(chain))
-            return
-        a = first_incomplete()
+            if leaf is not None:
+                leaf(chain)
+            return 1
+        while counts[a] >= d:
+            a += 1
         prev = chain[-1] if chain else v
         # The next factor (a, b) must dominate prev componentwise, so the
         # forced first entry rules the branch out when it lags behind.
         if a < prev[0] or a > w[0]:
-            return
+            return 0
+        found = 0
         for b in range(max(a + 1, prev[1]), min(n, w[1]) + 1):
             if counts[b] >= d:
                 continue
             counts[a] += 1
             counts[b] += 1
             chain.append((a, b))
-            extend(remaining - 1)
+            found += extend(remaining - 1, a)
             chain.pop()
             counts[a] -= 1
             counts[b] -= 1
+        return found
 
-    extend(length)
-    return out
+    return extend(length, 1)
+
+
+def _check_degree(support: SupportRange, d: int) -> None:
+    if support.n % 2:
+        raise ValueError(f"invariants need even n, got n={support.n}")
+    if d < 1:
+        raise ValueError(f"polarization degree must be >= 1, got {d}")
 
 
 def invariant_basis(support: SupportRange, d: int) -> GeneratorSet:
@@ -103,11 +111,11 @@ def invariant_basis(support: SupportRange, d: int) -> GeneratorSet:
     and named by that table; otherwise labels are ``m_1, m_2, ...`` in
     enumeration order.
     """
-    if support.n % 2:
-        raise ValueError(f"invariants need even n, got n={support.n}")
-    if d < 1:
-        raise ValueError(f"polarization degree must be >= 1, got {d}")
-    found = _enumerate_invariant_chains(support, d)
+    _check_degree(support, d)
+    found: list[Monomial] = []
+    _enumerate_invariant_chains(
+        support, d, lambda chain: found.append(tuple(chain))
+    )
     table = case_studies.generator_labels(support.n, support.v, support.w) if d == 1 else None
     if table is not None:
         expected = {mono: label for label, mono in table}
@@ -125,57 +133,63 @@ def invariant_basis(support: SupportRange, d: int) -> GeneratorSet:
 
 
 def hilbert_count(support: SupportRange, d: int) -> int:
-    """Dimension of the degree-d invariant section space of the window."""
-    return len(invariant_basis(support, d))
+    """Dimension of the degree-d invariant section space of the window.
+
+    Degree one goes through :func:`invariant_basis` and its pinned-table
+    check; higher degrees count the chains without building them.
+    """
+    _check_degree(support, d)
+    if d == 1:
+        return len(invariant_basis(support, d))
+    return _enumerate_invariant_chains(support, d)
 
 
 def _nf_times_monomial(
-    nf: dict[Monomial, Fraction], factor: Monomial, support: SupportRange
-) -> dict[Monomial, Fraction]:
-    out: dict[Monomial, Fraction] = {}
+    nf: dict[Monomial, int], factor: Monomial, straightener: Straightener
+) -> dict[Monomial, int]:
+    out: dict[Monomial, int] = {}
     for mono, coeff in nf.items():
-        product = tuple(sorted(mono + factor))
-        for nf_mono, nf_coeff in _monomial_normal_form(product, support).items():
-            out[nf_mono] = out.get(nf_mono, Fraction(0)) + coeff * nf_coeff
+        for nf_mono, nf_coeff in straightener.monomial(mono + factor).items():
+            out[nf_mono] = out.get(nf_mono, 0) + coeff * nf_coeff
     return {m: c for m, c in out.items() if c}
 
 
 def product_normal_forms(
     support: SupportRange, d: int
-) -> tuple[GeneratorSet, dict[tuple[int, ...], dict[Monomial, Fraction]]]:
+) -> tuple[GeneratorSet, dict[tuple[int, ...], dict[Monomial, int]]]:
     """Straightened d-fold products of the degree-one generators.
 
     Returns the generator set and a map from index combinations (0-based,
-    nondecreasing, lexicographic) to normal-form expansions.  Products are
-    built one factor at a time so partial products are shared.
+    nondecreasing, lexicographic) to normal-form expansions with integer
+    coefficients.  Products are built one factor at a time so partial
+    products are shared, and one :class:`Straightener` serves the call.
     """
     gens = invariant_basis(support, 1)
-    level: dict[tuple[int, ...], dict[Monomial, Fraction]] = {
-        (): {(): Fraction(1)}
-    }
+    straightener = Straightener(support)
+    level: dict[tuple[int, ...], dict[Monomial, int]] = {(): {(): 1}}
     for _ in range(d):
-        nxt: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
+        nxt: dict[tuple[int, ...], dict[Monomial, int]] = {}
         for combo, nf in level.items():
             start = combo[-1] if combo else 0
             for idx in range(start, len(gens)):
                 key = combo + (idx,)
                 if key in nxt:
                     continue
-                nxt[key] = _nf_times_monomial(nf, gens.monomials[idx], support)
+                nxt[key] = _nf_times_monomial(nf, gens.monomials[idx], straightener)
         level = nxt
     return gens, level
 
 
 def _product_matrix(
     support: SupportRange, d: int
-) -> tuple[GeneratorSet, list[tuple[int, ...]], list[list[Fraction]], list[Monomial]]:
+) -> tuple[GeneratorSet, list[tuple[int, ...]], list[list[int]], list[Monomial]]:
     gens, nfs = product_normal_forms(support, d)
     basis = invariant_basis(support, d).monomials
     index = {mono: k for k, mono in enumerate(basis)}
     combos = sorted(nfs)
     rows = []
     for combo in combos:
-        vec = [Fraction(0)] * len(basis)
+        vec = [0] * len(basis)
         for mono, coeff in nfs[combo].items():
             vec[index[mono]] = coeff
         rows.append(vec)

@@ -16,7 +16,7 @@ from .case_studies import Identity
 from .formal import partial_derivative
 from .plucker import format_plucker
 from .poly import Poly
-from .straightening import SupportRange, straighten
+from .straightening import Straightener, SupportRange, straighten
 
 
 def verify_identity(lhs: Poly, rhs: Poly, support: SupportRange) -> bool:
@@ -51,9 +51,11 @@ class SuiteReport:
         return [r for r in self.records if not r.ok]
 
 
-def _check_one(case_name: str, identity: Identity, support: SupportRange) -> IdentityRecord:
-    lhs_nf = straighten(identity.lhs, support)
-    rhs_nf = straighten(identity.rhs, support)
+def _check_one(
+    case_name: str, identity: Identity, straightener: Straightener
+) -> IdentityRecord:
+    lhs_nf = straightener(identity.lhs)
+    rhs_nf = straightener(identity.rhs)
     status = "pass" if lhs_nf == rhs_nf else "fail"
     return IdentityRecord(
         case=case_name,
@@ -67,7 +69,10 @@ def _check_one(case_name: str, identity: Identity, support: SupportRange) -> Ide
 def _run_checks(
     case_name: str, identities: Iterable[Identity], support: SupportRange
 ) -> SuiteReport:
-    records = [_check_one(case_name, ident, support) for ident in identities]
+    # One engine per suite: identities share many monomials (one
+    # identity's right side is often the next one's left side).
+    straightener = Straightener(support)
+    records = [_check_one(case_name, ident, straightener) for ident in identities]
     return SuiteReport(case_name, tuple(records))
 
 

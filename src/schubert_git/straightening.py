@@ -7,14 +7,24 @@ when its factors can be sorted into a weakly increasing chain
 the corresponding Schubert or Richardson variety, and every Pluecker
 polynomial has a unique expansion in that basis, computed here by
 rewriting with the quadratic relations.
+
+One engine, :class:`Straightener`, computes the expansion.  It holds the
+state of one window explicitly: its normal-form cache and its counters of
+rewrite steps, cache hits and misses.  Coefficients are ``int`` inside the
+engine (every rewrite has coefficients +-1) and become ``Fraction`` only in
+the returned :class:`Poly`.  Both bounds of the window are pruned as soon
+as a factor appears, and pending monomials are rewritten in decreasing
+order of a measure that every rewrite lowers, so each one is rewritten
+once.
 """
 
 from __future__ import annotations
 
-import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from heapq import heappop, heappush
+from typing import Iterable
 
 from .poly import Monomial, Poly
 from .weyl import Pair, bruhat_leq, check_pair, coset_reps
@@ -92,121 +102,127 @@ def is_standard(factors: Iterable[Pair], support: SupportRange) -> bool:
     return bruhat_leq(support.v, fs[0]) and bruhat_leq(fs[-1], support.w)
 
 
-Strategy = Literal["leftmost", "random"]
+class Straightener:
+    """Normal forms on one window, with their cache and work counters.
 
-# Normal forms of single monomials, keyed by (n, v, w, factors).  Only the
-# deterministic leftmost strategy populates it.
-_NF_CACHE: dict[tuple, dict[Monomial, Fraction]] = {}
+    ``monomial(factors)`` expands one monomial in the standard basis with
+    ``int`` coefficients; calling the engine on a :class:`Poly` returns its
+    normal form as a ``Poly``.  Every normal form computed is cached on the
+    instance, so callers that straighten many related polynomials on one
+    window share one engine, and engines on different windows share
+    nothing.  ``steps`` counts rewrites; ``hits`` and ``misses`` count
+    ``monomial`` calls answered from the cache or computed.
 
-
-def clear_cache() -> None:
-    _NF_CACHE.clear()
-
-
-def _find_bad_pair(
-    factors: Monomial, strategy: Strategy, rng: random.Random | None
-) -> tuple[int, int] | None:
-    if strategy == "leftmost":
-        for k in range(len(factors) - 1):
-            a, b = factors[k], factors[k + 1]
-            if not (a[0] <= b[0] and a[1] <= b[1]):
-                return (k, k + 1)
-        return None
-    bad = [
-        (k, l)
-        for k in range(len(factors))
-        for l in range(k + 1, len(factors))
-        if not (
-            (factors[k][0] <= factors[l][0] and factors[k][1] <= factors[l][1])
-            or (factors[l][0] <= factors[k][0] and factors[l][1] <= factors[k][1])
-        )
-    ]
-    if not bad:
-        return None
-    return bad[rng.randrange(len(bad))] if rng else bad[0]
-
-
-def _monomial_normal_form(
-    factors: Monomial,
-    support: SupportRange,
-    strategy: Strategy = "leftmost",
-    rng: random.Random | None = None,
-) -> dict[Monomial, Fraction]:
-    """Expansion of a single monomial in the standard basis of the window.
-
-    Rewrites an incomparable factor pair ``(a,b), (c,d)`` (normalized so
-    ``a < c < d < b``) into ``(a,d)(c,b) - (a,c)(d,b)``; each step strictly
-    decreases the integer ``sum (j - i)^2`` over the factors, so the loop
-    terminates.  Factors not below ``w`` kill a monomial eagerly; the lower
-    bound ``v`` is enforced on the fully sorted output chains only.
+    The expansion rewrites an incomparable factor pair ``(a,b), (c,d)``
+    (``a < c < d < b``) into ``(a,d)(c,b) - (a,c)(d,b)``.  Every rewrite
+    strictly lowers the measure ``sum (j - i)^2`` over the factors, so the
+    pending monomials are taken from a heap in decreasing measure: all
+    contributions to a monomial are summed before it is rewritten, and
+    each distinct monomial is rewritten at most once per call.  A factor
+    outside ``[v, w]`` kills its monomial as soon as it appears, at the
+    input and after every rewrite: ``p_t`` lies in the window's ideal for
+    such ``t``, and the normal form is unique.  The rewritten pair is the
+    leftmost bad adjacent one of the lexicographically sorted factors; an
+    adjacent pair is bad exactly when the second entry of the first factor
+    exceeds that of the next.
     """
-    cacheable = strategy == "leftmost"
-    key = (support.n, support.v, support.w, factors)
-    if cacheable:
-        hit = _NF_CACHE.get(key)
-        if hit is not None:
-            return hit
 
-    w, v = support.w, support.v
-    done: dict[Monomial, Fraction] = {}
-    pending: dict[Monomial, Fraction] = {}
-    if all(bruhat_leq(f, w) for f in factors):
-        pending[sort_factors(factors)] = Fraction(1)
-    steps = 0
-    while pending:
-        nxt: dict[Monomial, Fraction] = {}
-        for mono, coeff in pending.items():
-            pos = _find_bad_pair(mono, strategy, rng)
-            if pos is None:
-                if not mono or bruhat_leq(v, mono[0]):
-                    done[mono] = done.get(mono, Fraction(0)) + coeff
+    def __init__(self, support: SupportRange) -> None:
+        self.support = support
+        self._cache: dict[Monomial, dict[Monomial, int]] = {}
+        self.steps = 0
+        self.hits = 0
+        self.misses = 0
+
+    def monomial(self, factors: Iterable[Pair]) -> dict[Monomial, int]:
+        """Standard-basis expansion of one monomial, as ``{chain: int}``.
+
+        The result is the cached dict itself; callers must not modify it.
+        """
+        key = sort_factors(factors)
+        hit = self._cache.get(key)
+        if hit is not None:
+            self.hits += 1
+            return hit
+        self.misses += 1
+        result = self._expand(key)
+        self._cache[key] = result
+        return result
+
+    def _expand(self, start: Monomial) -> dict[Monomial, int]:
+        (v0, v1), (w0, w1) = self.support.v, self.support.w
+        done: dict[Monomial, int] = {}
+        if not all(v0 <= i <= w0 and v1 <= j <= w1 for i, j in start):
+            return done
+        limit = MAX_REWRITE_STEPS
+        steps = 0
+        pending = {start: 1}
+        # Heap entries are (-measure, monomial): the largest measure first.
+        heap = [(-sum((j - i) ** 2 for i, j in start), start)]
+        while heap:
+            priority, mono = heappop(heap)
+            coeff = pending.pop(mono)
+            if not coeff:
+                continue
+            for k in range(len(mono) - 1):
+                if mono[k][1] > mono[k + 1][1]:
+                    break
+            else:
+                done[mono] = coeff
                 continue
             steps += 1
-            if steps > MAX_REWRITE_STEPS:
-                raise StraighteningLimit(
-                    f"exceeded {MAX_REWRITE_STEPS} rewrite steps on {factors}"
-                )
-            k, l = pos
-            (a, b), (c, d) = mono[k], mono[l]
-            rest = mono[:k] + mono[k + 1 : l] + mono[l + 1 :]
-            for new_pair, sign in ((((a, d), (c, b)), 1), (((a, c), (d, b)), -1)):
-                if bruhat_leq(new_pair[0], w) and bruhat_leq(new_pair[1], w):
-                    nm = tuple(sorted(rest + new_pair))
-                    nxt[nm] = nxt.get(nm, Fraction(0)) + sign * coeff
-        pending = {m: c for m, c in nxt.items() if c}
-    result = {m: c for m, c in done.items() if c}
-    if cacheable:
-        _NF_CACHE[key] = result
-    return result
+            if steps > limit:
+                self.steps += steps
+                raise StraighteningLimit(f"exceeded {limit} rewrite steps on {start}")
+            (a, b), (c, d) = mono[k], mono[k + 1]
+            rest = mono[:k] + mono[k + 2 :]
+            # Against (a,b)(c,d), the measure of (a,d)(c,b) is lower by
+            # 2(c-a)(b-d) and that of (a,c)(d,b) by 2(d-a)(b-c).  The first
+            # keeps every entry in its place, so it stays in the window; the
+            # second makes c a second entry and d a first one.
+            products = [((a, d), (c, b), coeff, priority + 2 * (c - a) * (b - d))]
+            if v1 <= c and d <= w0:
+                drop = 2 * (d - a) * (b - c)
+                products.append(((a, c), (d, b), -coeff, priority + drop))
+            for x, y, term, after in products:
+                factors = list(rest)
+                insort(factors, x)
+                insort(factors, y)
+                new = tuple(factors)
+                old = pending.get(new)
+                if old is None:
+                    pending[new] = term
+                    heappush(heap, (after, new))
+                else:
+                    pending[new] = old + term
+        self.steps += steps
+        return done
+
+    def __call__(self, p: Poly) -> Poly:
+        out: dict[Monomial, Fraction | int] = {}
+        for mono, coeff in p.terms.items():
+            for t in mono:
+                check_pair(t, self.support.n)
+            if coeff.denominator == 1:
+                coeff = coeff.numerator
+            for nf_mono, nf_coeff in self.monomial(mono).items():
+                out[nf_mono] = out.get(nf_mono, 0) + coeff * nf_coeff
+        return Poly(out)
 
 
-def straighten(
-    p: Poly,
-    support: SupportRange,
-    strategy: Strategy = "leftmost",
-    seed: int | None = None,
-) -> Poly:
+def straighten(p: Poly, support: SupportRange) -> Poly:
     """Unique expansion of ``p`` in the standard-monomial basis of the
     window; the identity modulo the defining ideal of the restriction.
 
-    ``strategy="random"`` picks the rewritten factor pair at random (from
-    ``seed``) instead of leftmost; the normal form is the same either way.
+    A fresh :class:`Straightener` per call; callers straightening many
+    polynomials on one window should hold one engine instead.
 
     >>> from .plucker import pmono, format_plucker
     >>> nf = straighten(pmono([(2, 5), (3, 4)]), SupportRange.full(6))
     >>> format_plucker(nf)
     '-p[2,3]*p[4,5] + p[2,4]*p[3,5]'
     """
-    rng = random.Random(seed) if strategy == "random" else None
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        for t in mono:
-            check_pair(t, support.n)
-        for nf_mono, nf_coeff in _monomial_normal_form(
-            mono, support, strategy, rng
-        ).items():
-            out[nf_mono] = out.get(nf_mono, Fraction(0)) + coeff * nf_coeff
-    return Poly(out)
+    return Straightener(support)(p)
 
 
 def standard_basis(support: SupportRange, degree: int) -> list[Monomial]:

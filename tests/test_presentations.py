@@ -59,7 +59,9 @@ def test_case_suite_unknown_case():
         case_suite("g27")
 
 
-@pytest.mark.parametrize("n,k,families", [(10, 2, 10), (10, 3, 2), (8, 2, 2)])
+@pytest.mark.parametrize(
+    "n,k,families", [(10, 2, 10), (10, 3, 2), (8, 2, 2), (20, 2, 420), (20, 3, 252)]
+)
 def test_toric_suites_pass(n, k, families):
     report = toric_suite(n, k)
     assert len(report.records) == families

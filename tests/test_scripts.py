@@ -1,0 +1,28 @@
+"""The paper-reproduction scripts run end to end and exit 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script", ["reproduce_all.py", "singular_census.py"])
+def test_script_exits_zero(script):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    if env.get("PYTHONPATH"):
+        src += os.pathsep + env["PYTHONPATH"]
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

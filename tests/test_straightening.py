@@ -1,11 +1,15 @@
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
 from schubert_git.plucker import evaluate, pmono, pvar, random_schubert_point
 from schubert_git.poly import Poly
+from schubert_git import straightening
 from schubert_git.straightening import (
+    StraighteningLimit,
+    Straightener,
     SupportRange,
     is_standard,
     standard_basis,
@@ -14,7 +18,8 @@ from schubert_git.straightening import (
 from schubert_git.invariants import content
 from schubert_git.weyl import coset_reps
 
-from conftest import random_poly
+from conftest import random_pair, random_poly
+from reference_straightening import reference_straighten
 
 
 def test_support_range_validation():
@@ -126,7 +131,8 @@ def test_straighten_strategy_independence(g26_support):
         p = random_poly(rng, 6, max_terms=2, max_degree=4)
         leftmost = straighten(p, g26_support)
         for seed in range(3):
-            assert straighten(p, g26_support, strategy="random", seed=seed) == leftmost
+            random_order = reference_straighten(p, g26_support, strategy="random", seed=seed)
+            assert random_order == leftmost
 
 
 def test_straighten_content_conservation(g26_support):
@@ -161,3 +167,93 @@ def test_straighten_richardson_window_products():
         p = random_poly(rng, 8, max_terms=2, max_degree=3)
         nf = straighten(p, support)
         _assert_standard_output(nf, support)
+
+
+def _random_window(rng: random.Random, n: int) -> SupportRange:
+    """A random window, mostly wide: v near (1, 2) and w near (n-1, n)
+    leave room for long rewrite chains, which narrow windows rarely do."""
+    if rng.random() < 0.25:
+        while True:
+            v, w = random_pair(rng, n), random_pair(rng, n)
+            if v[0] <= w[0] and v[1] <= w[1]:
+                return SupportRange(n, v, w)
+    v0 = rng.randint(1, min(3, n - 1))
+    v = (v0, rng.randint(v0 + 1, min(v0 + 3, n)))
+    w1 = rng.randint(max(n - 2, v[1]), n)
+    w = (rng.randint(max(v0, w1 - 4), w1 - 1), w1)
+    return SupportRange(n, v, w)
+
+
+def _random_window_poly(rng: random.Random, support: SupportRange) -> Poly:
+    """Mostly factors inside the window, some outside it."""
+    window = support.variables()
+    out = Poly.zero()
+    for _ in range(rng.randint(1, 3)):
+        factors = [
+            rng.choice(window) if rng.random() < 0.85 else random_pair(rng, support.n)
+            for _ in range(rng.randint(1, 6))
+        ]
+        out = out + pmono(factors, rng.choice([-3, -2, -1, 1, 2, 3]))
+    return out
+
+
+def test_engine_matches_reference_on_random_windows():
+    rng = random.Random(4117)
+    lower_bounded = 0
+    for _ in range(1000):
+        support = _random_window(rng, rng.randint(4, 12))
+        lower_bounded += support.v != (1, 2)
+        p = _random_window_poly(rng, support)
+        nf = straighten(p, support)
+        assert nf == reference_straighten(p, support), (support, p)
+        _assert_standard_output(nf, support)
+    # The early kill at the lower bound must be exercised, not just the
+    # full and Schubert windows.
+    assert lower_bounded > 500
+
+
+def test_straightener_counts_cache_hits_and_misses():
+    engine = Straightener(SupportRange.full(6))
+    first = engine.monomial([(2, 5), (3, 4)])
+    assert (engine.hits, engine.misses) == (0, 1)
+    assert engine.steps == 1
+    # Factor order does not matter: the same monomial is a hit.
+    assert engine.monomial([(3, 4), (2, 5)]) is first
+    assert (engine.hits, engine.misses, engine.steps) == (1, 1, 1)
+    assert first == {((2, 4), (3, 5)): 1, ((2, 3), (4, 5)): -1}
+    calls = 2
+    rng = random.Random(8)
+    for _ in range(40):
+        engine.monomial([random_pair(rng, 6) for _ in range(rng.randint(1, 4))])
+        calls += 1
+    assert engine.hits + engine.misses == calls
+
+
+def test_straighteners_on_different_windows_share_nothing():
+    full = Straightener(SupportRange.full(6))
+    lower = Straightener(SupportRange(6, (1, 3), (5, 6)))
+    mono = [(1, 4), (2, 3)]
+    assert full.monomial(mono) == {((1, 3), (2, 4)): 1, ((1, 2), (3, 4)): -1}
+    assert lower.monomial(mono) == {((1, 3), (2, 4)): 1}
+    assert (lower.hits, lower.misses) == (0, 1)
+    assert full.monomial(mono) != lower.monomial(mono)
+
+
+def test_straightener_returns_poly_with_fraction_coefficients():
+    engine = Straightener(SupportRange.full(6))
+    p = pmono([(2, 5), (3, 4)], Fraction(1, 2))
+    nf = engine(p)
+    assert nf == Fraction(1, 2) * (pmono([(2, 4), (3, 5)]) - pmono([(2, 3), (4, 5)]))
+    assert all(type(c) is Fraction for c in nf.terms.values())
+    with pytest.raises(ValueError):
+        engine(pmono([(1, 7)]))
+
+
+def test_step_ceiling_raises_from_the_engine(monkeypatch):
+    support = SupportRange.full(8)
+    p = pmono([(4, 5), (3, 6), (2, 7), (1, 8)])
+    monkeypatch.setattr(straightening, "MAX_REWRITE_STEPS", 2)
+    with pytest.raises(StraighteningLimit, match="exceeded 2 rewrite steps"):
+        straighten(p, support)
+    monkeypatch.setattr(straightening, "MAX_REWRITE_STEPS", 10**6)
+    assert not straighten(p, support).is_zero
