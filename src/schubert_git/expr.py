@@ -220,14 +220,6 @@ def format_expr(node: Node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def lower(node: Node) -> tuple[Poly, str]:
-    """Lower an AST to a polynomial; returns (poly, kind) with kind one of
-    "plucker", "formal", or "constant".  Mixing variable kinds is an
-    error."""
-    poly, kind = _lower(node)
-    return poly, kind
-
-
 def _merge_kind(a: str, b: str) -> str:
     if a == "constant":
         return b
@@ -236,7 +228,10 @@ def _merge_kind(a: str, b: str) -> str:
     raise ValueError("expression mixes p[i,j] and x_k variables")
 
 
-def _lower(node: Node) -> tuple[Poly, str]:
+def lower(node: Node) -> tuple[Poly, str]:
+    """Lower an AST to a polynomial; returns (poly, kind) with kind one of
+    "plucker", "formal", or "constant".  Mixing variable kinds is an
+    error."""
     if isinstance(node, Lit):
         return Poly.const(node.value), "constant"
     if isinstance(node, PVar):
@@ -244,19 +239,19 @@ def _lower(node: Node) -> tuple[Poly, str]:
     if isinstance(node, XVar):
         return Poly.variable(("x", node.k)), "formal"
     if isinstance(node, Pow):
-        base, kind = _lower(node.base)
+        base, kind = lower(node.base)
         return base**node.exponent, kind
     if isinstance(node, Prod):
         poly, kind = Poly.const(1), "constant"
         for factor in node.factors:
-            fpoly, fkind = _lower(factor)
+            fpoly, fkind = lower(factor)
             kind = _merge_kind(kind, fkind)
             poly = poly * fpoly
         return poly, kind
     if isinstance(node, Sum):
         poly, kind = Poly.zero(), "constant"
         for sign, part in node.parts:
-            ppoly, pkind = _lower(part)
+            ppoly, pkind = lower(part)
             kind = _merge_kind(kind, pkind)
             poly = poly + (ppoly if sign > 0 else -ppoly)
         return poly, kind

@@ -182,18 +182,19 @@ def product_normal_forms(
 
 def _product_matrix(
     support: SupportRange, d: int
-) -> tuple[GeneratorSet, list[tuple[int, ...]], list[list[int]], list[Monomial]]:
-    gens, nfs = product_normal_forms(support, d)
-    basis = invariant_basis(support, d).monomials
-    index = {mono: k for k, mono in enumerate(basis)}
+) -> tuple[list[tuple[int, ...]], list[linalg.SparseRow]]:
+    """Index combinations in lexicographic order and the sparse rows of
+    their products' normal forms.  A column is numbered the first time its
+    standard monomial appears; neither the rank nor the left kernel depends
+    on that numbering."""
+    _, nfs = product_normal_forms(support, d)
     combos = sorted(nfs)
-    rows = []
-    for combo in combos:
-        vec = [0] * len(basis)
-        for mono, coeff in nfs[combo].items():
-            vec[index[mono]] = coeff
-        rows.append(vec)
-    return gens, combos, rows, list(basis)
+    index: dict[Monomial, int] = {}
+    rows = [
+        {index.setdefault(mono, len(index)): coeff for mono, coeff in nfs.pop(combo).items()}
+        for combo in combos
+    ]
+    return combos, rows
 
 
 def multiplication_kernel(support: SupportRange, d_target: int) -> list[Poly]:
@@ -206,12 +207,14 @@ def multiplication_kernel(support: SupportRange, d_target: int) -> list[Poly]:
     """
     if d_target not in (2, 3):
         raise ValueError(f"relation degree must be 2 or 3, got {d_target}")
-    _, combos, rows, _ = _product_matrix(support, d_target)
-    kernel = linalg.left_nullspace(rows)
+    combos, rows = _product_matrix(support, d_target)
     # Each combo is nondecreasing, so its x tokens are already a sorted
     # monomial, and distinct combos give distinct monomials.
     monomials = [tuple(("x", i + 1) for i in combo) for combo in combos]
-    return [Poly({m: c for m, c in zip(monomials, vec) if c}) for vec in kernel]
+    return [
+        Poly({monomials[r]: c for r, c in vec.items()})
+        for vec in linalg.left_nullspace(rows)
+    ]
 
 
 def degree_one_generation_check(support: SupportRange, d: int) -> bool:
@@ -220,12 +223,12 @@ def degree_one_generation_check(support: SupportRange, d: int) -> bool:
 
     The certificate is the exact rank over Q of the product matrix, whose
     rows are the products' normal forms in the standard invariant basis;
-    generation holds iff that rank equals the basis size.
+    generation holds iff that rank equals the Hilbert count.
     """
     if d < 2:
         raise ValueError(f"generation degree must be >= 2, got {d}")
-    _, _, rows, basis = _product_matrix(support, d)
-    return linalg.rank(rows) == len(basis)
+    _, rows = _product_matrix(support, d)
+    return linalg.rank(rows) == hilbert_count(support, d)
 
 
 def projective_window_products_standard(n: int, k: int, d: int = 2) -> bool:

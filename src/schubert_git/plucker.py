@@ -80,19 +80,8 @@ def evaluate(p: Poly, matrix: PlaneMatrix) -> Fraction:
 
     Substitutes each variable by the corresponding 2x2 minor; exact.
     """
-    cache: dict[Pair, Fraction] = {}
-    total = Fraction(0)
-    for mono, coeff in p.terms.items():
-        term = coeff
-        for pair in mono:
-            value = cache.get(pair)
-            if value is None:
-                check_pair(pair, matrix.n)
-                value = matrix.minor(*pair)
-                cache[pair] = value
-            term *= value
-        total += term
-    return total
+    pairs = {pair for mono in p.terms for pair in mono}
+    return p.evaluate({t: matrix.minor(*check_pair(t, matrix.n)) for t in pairs})
 
 
 def vanishing_pattern(matrix: PlaneMatrix) -> set[Pair]:

@@ -136,7 +136,7 @@ def jacobian(
                 for k in range(1, len(values) + 1)
             )
         )
-    rank = linalg.rank(rows)
+    rank = linalg.rank([{k: x for k, x in enumerate(row) if x} for row in rows])
     return JacobianReport(tuple(rows), rank, codim_target)
 
 

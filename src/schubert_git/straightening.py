@@ -26,7 +26,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable
 
-from .poly import Monomial, Poly
+from .poly import Monomial, Poly, monomial
 from .weyl import Pair, bruhat_leq, check_pair, coset_reps
 
 MAX_REWRITE_STEPS = 10**6
@@ -73,10 +73,6 @@ class SupportRange:
         ]
 
 
-def sort_factors(factors: Iterable[Pair]) -> Monomial:
-    return tuple(sorted(factors))
-
-
 def _is_chain(sorted_factors: Monomial) -> bool:
     # Lexicographically sorted factors form a chain iff consecutive ones
     # are componentwise comparable.
@@ -94,7 +90,7 @@ def is_standard(factors: Iterable[Pair], support: SupportRange) -> bool:
     >>> is_standard([(1, 4), (2, 3)], SupportRange.full(4))
     False
     """
-    fs = sort_factors(check_pair(f, support.n) for f in factors)
+    fs = monomial(check_pair(f, support.n) for f in factors)
     if not _is_chain(fs):
         return False
     if not fs:
@@ -139,7 +135,7 @@ class Straightener:
 
         The result is the cached dict itself; callers must not modify it.
         """
-        key = sort_factors(factors)
+        key = monomial(factors)
         hit = self._cache.get(key)
         if hit is not None:
             self.hits += 1

@@ -105,12 +105,11 @@ def test_criterion_03_relation_reproduction():
     report("3 relation reproduction", ok, ", ".join(details))
 
 
-def _relation_vector(rel: Poly, combos: list[tuple[int, ...]]) -> list[Fraction]:
+def _relation_vector(rel: Poly, combos: list[tuple[int, ...]]) -> dict[int, Fraction]:
     index = {c: i for i, c in enumerate(combos)}
-    vec = [Fraction(0)] * len(combos)
-    for mono, coeff in rel.terms.items():
-        vec[index[tuple(sorted(t[1] - 1 for t in mono))]] = coeff
-    return vec
+    return {
+        index[tuple(sorted(t[1] - 1 for t in mono))]: coeff for mono, coeff in rel.terms.items()
+    }
 
 
 def test_criterion_04_kernel_structure():

@@ -181,11 +181,9 @@ def test_g26_kernel_degree_three_is_hypersurface(g26_support):
 
 def _relation_vector(rel, combos):
     index = {c: i for i, c in enumerate(combos)}
-    vec = [Fraction(0)] * len(combos)
-    for mono, coeff in rel.terms.items():
-        key = tuple(sorted(t[1] - 1 for t in mono))
-        vec[index[key]] = coeff
-    return vec
+    return {
+        index[tuple(sorted(t[1] - 1 for t in mono))]: coeff for mono, coeff in rel.terms.items()
+    }
 
 
 @pytest.mark.parametrize("name,num_gens,expected_dim", [("x68", 9, 5), ("x710", 14, 21)])
@@ -222,12 +220,7 @@ def test_kernel_soundness_and_completeness(name):
     combos = sorted(nfs)
     basis = invariant_basis(support, d)
     index = {m: i for i, m in enumerate(basis.monomials)}
-    rows = []
-    for combo in combos:
-        vec = [Fraction(0)] * len(basis)
-        for mono, coeff in nfs[combo].items():
-            vec[index[mono]] = coeff
-        rows.append(vec)
+    rows = [{index[mono]: coeff for mono, coeff in nfs[combo].items()} for combo in combos]
     assert linalg.rank(rows) + len(kernel) == len(combos)
 
 

@@ -33,6 +33,21 @@ def _reference_rref(rows):
     return m, pivots
 
 
+def _sparse(rows):
+    """Dense rows as sparse ``{column: value}`` rows without zero entries."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def _dense(vectors, length):
+    out = []
+    for vec in vectors:
+        row = [Fraction(0)] * length
+        for r, x in vec.items():
+            row[r] = x
+        out.append(row)
+    return out
+
+
 def _reference_rank(rows):
     return len(_reference_rref(rows)[1])
 
@@ -84,55 +99,86 @@ def _low_rank_matrices(draw):
 
 
 def _check_kernel(rows, kernel):
-    n_cols = len(rows[0]) if rows else 0
+    """``rows`` sparse, ``kernel`` sparse: ``c M = 0``, no stored zeros, and
+    reduced row echelon form."""
     for vec in kernel:
-        assert len(vec) == len(rows)
-        assert all(isinstance(x, Fraction) for x in vec)
-        for c in range(n_cols):
-            assert sum(vec[r] * rows[r][c] for r in range(len(rows))) == 0
-    leads = [next(i for i, x in enumerate(vec) if x) for vec in kernel]
+        assert all(0 <= r < len(rows) for r in vec)
+        assert all(type(x) in (int, Fraction) and x != 0 for x in vec.values())
+        product = {}
+        for r, x in vec.items():
+            for c, y in rows[r].items():
+                product[c] = product.get(c, 0) + x * y
+        assert not any(product.values())
+    leads = [min(vec) for vec in kernel]
     assert leads == sorted(set(leads))
     for vec, lead in zip(kernel, leads):
         assert vec[lead] == 1
-        assert all(other[lead] == 0 for other in kernel if other is not vec)
+        assert all(lead not in other for other in kernel if other is not vec)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_matrices(), _low_rank_matrices()))
-def test_matches_reference(rows):
-    assert linalg.rank(rows) == _reference_rank(rows)
-    kernel = linalg.left_nullspace(rows)
-    assert kernel == _reference_left_nullspace(rows)
-    assert len(kernel) + linalg.rank(rows) == len(rows)
-    _check_kernel(rows, kernel)
+@given(st.one_of(_matrices(), _low_rank_matrices()), st.randoms(use_true_random=False))
+def test_matches_reference(rows, rng):
+    sparse = _sparse(rows)
+    rank = linalg.rank(sparse)
+    assert rank == _reference_rank(rows)
+    kernel = linalg.left_nullspace(sparse)
+    assert _dense(kernel, len(rows)) == _reference_left_nullspace(rows)
+    assert len(kernel) + rank == len(rows)
+    _check_kernel(sparse, kernel)
+    # Renumbering the columns onto scattered keys changes neither result.
+    keys = rng.sample(range(10_000), len(rows[0]) if rows else 0)
+    renumbered = [{keys[c]: x for c, x in row.items()} for row in sparse]
+    assert linalg.rank(renumbered) == rank
+    assert linalg.left_nullspace(renumbered) == kernel
 
 
 def test_edge_shapes():
     assert linalg.rank([]) == 0
     assert linalg.left_nullspace([]) == []
-    # Rows without columns: every row is a relation.
-    assert linalg.rank([[], []]) == 0
-    assert linalg.left_nullspace([[], []]) == [[1, 0], [0, 1]]
-    zero = [[0, 0, 0]] * 3
-    assert linalg.rank(zero) == 0
-    assert linalg.left_nullspace(zero) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # Rows with no entries: every row is a relation.
+    assert linalg.rank([{}, {}]) == 0
+    assert linalg.left_nullspace([{}, {}]) == [{0: 1}, {1: 1}]
+    assert linalg.left_nullspace([{}, {}, {}]) == [{0: 1}, {1: 1}, {2: 1}]
+
+
+def test_non_contiguous_column_keys():
+    rows = [{3: 1, 10_000: 2}, {10_000: 4, 3: 2}, {7: -1}]
+    assert linalg.rank(rows) == 2
+    kernel = linalg.left_nullspace(rows)
+    assert kernel == [{0: 1, 1: Fraction(-1, 2)}]
+    _check_kernel(rows, kernel)
+
+
+def test_stored_zeros_are_ignored():
+    rows = [{0: 0, 1: 1}, {1: 2, 4: Fraction(0)}]
+    assert linalg.rank(rows) == 1
+    assert linalg.left_nullspace(rows) == [{0: 1, 1: Fraction(-1, 2)}]
+
+
+def test_kernel_stores_no_zeros():
+    # Rows 0 and 2 are independent of everything; only row 1 = 2 * row 3
+    # enters the kernel, so the vector has two entries, not four.
+    rows = [{0: 1}, {1: 2, 2: 2}, {5: 1}, {1: 1, 2: 1}]
+    kernel = linalg.left_nullspace(rows)
+    assert kernel == [{1: 1, 3: -2}]
+    _check_kernel(rows, kernel)
 
 
 def test_integer_input_and_fraction_output():
-    rows = [[2, 4, 0], [1, 2, 0], [0, 0, 3], [Fraction(1, 2), 1, 1]]
+    rows = [{0: 2, 1: 4}, {0: 1, 1: 2}, {2: 3}, {0: Fraction(1, 2), 1: 1, 2: 1}]
     assert linalg.rank(rows) == 2
     kernel = linalg.left_nullspace(rows)
     assert kernel == [
-        [1, 0, Fraction(4, 3), -4],
-        [0, 1, Fraction(2, 3), -2],
+        {0: 1, 2: Fraction(4, 3), 3: -4},
+        {1: 1, 2: Fraction(2, 3), 3: -2},
     ]
-    assert all(type(x) is Fraction for vec in kernel for x in vec)
     _check_kernel(rows, kernel)
 
 
 def test_inputs_unchanged():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    copy = [list(r) for r in rows]
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
+    copy = [dict(r) for r in rows]
     linalg.rank(rows)
     linalg.left_nullspace(rows)
     assert rows == copy

@@ -131,3 +131,12 @@ def test_random_poly_evaluation_distributes(g26_support):
 def test_format_plucker_canonical():
     p = pvar(1, 2) * pvar(1, 2) * 3 - pvar(3, 4)
     assert format_plucker(p) == "-p[3,4] + 3*p[1,2]^2"
+
+
+def test_evaluate_is_poly_evaluate_at_the_minors(g26_support):
+    rng = random.Random(12)
+    A = random_schubert_point(g26_support, 4)
+    p = random_poly(rng, 6)
+    assert evaluate(p, A) == p.evaluate(A.minors())
+    with pytest.raises(ValueError):
+        evaluate(pvar(5, 7), A)
