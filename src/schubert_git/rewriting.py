@@ -3,9 +3,11 @@
 A reduction system is a finite list of rules (monomial -> polynomial).
 A rule applies to a term whose monomial is divisible by the rule's left
 side; one step replaces that term accordingly.  The confluence check
-explores every reduction sequence breadth-first and reports the set of
-normal forms per probe: the system is confluent on the probes iff each
-set is a singleton.
+explores every reduction sequence from each probe breadth-first and
+reports the set of normal forms per probe: the system is confluent on the
+probes iff each set is a singleton.  The probes of one check share one
+rewrite graph, so every distinct state is expanded once per call however
+many probes reach it.
 """
 
 from __future__ import annotations
@@ -91,35 +93,65 @@ def confluence_check(
 ) -> ConfluenceReport:
     """Explore all reduction sequences from each probe monomial.
 
-    The search is a cycle-safe breadth-first walk over the rewrite graph;
-    rule order cannot affect the result because every applicable step is
-    taken.  Raises :class:`RewriteGraphLimit` past ``state_cap`` states.
+    Each probe gets its own cycle-safe breadth-first walk, but the walks
+    share one rewrite graph per call: a state's successors are computed by
+    :func:`reduce_steps` the first time any probe reaches it, and a normal
+    form is formatted once.  Rule order cannot affect the result because
+    every applicable step is taken.  ``states_explored`` counts the states
+    one probe reaches, and :class:`RewriteGraphLimit` is raised when one
+    probe reaches more than ``state_cap`` states.
+
+    Two rules on the same left side give a critical pair that never joins:
+
+    >>> system = ReductionSystem((
+    ...     (("a", "b"), Poly.from_monomial(["c", "c"])),
+    ...     (("a", "b"), Poly.from_monomial(["d", "d"])),
+    ... ))
+    >>> confluence_check(system, [("b", "a")]).results[0].normal_forms
+    ('c^2', 'd^2')
     """
+    index: dict[tuple, int] = {}  # Poly.key() -> state number
+    states: list[Poly] = []
+    graph: dict[int, tuple[int, ...]] = {}
+    forms: dict[int, str] = {}
+
+    def number(poly: Poly) -> int:
+        key = poly.key()
+        if key not in index:
+            index[key] = len(states)
+            states.append(poly)
+        return index[key]
+
     results = []
     for probe in probes:
-        start = Poly({tuple(sorted(probe)): Fraction(1)})
-        seen: dict[tuple, Poly] = {start.key(): start}
+        start = number(Poly({tuple(sorted(probe)): Fraction(1)}))
+        seen = {start}
         frontier = [start]
-        normal: dict[tuple, Poly] = {}
+        normal: list[int] = []
         while frontier:
-            nxt: list[Poly] = []
+            nxt: list[int] = []
             for state in frontier:
-                successors = reduce_steps(system, state)
+                successors = graph.get(state)
+                if successors is None:
+                    steps = reduce_steps(system, states[state])
+                    successors = graph[state] = tuple(number(p) for p in steps)
                 if not successors:
-                    normal[state.key()] = state
+                    normal.append(state)
                     continue
                 for succ in successors:
-                    key = succ.key()
-                    if key not in seen:
+                    if succ not in seen:
                         if len(seen) >= state_cap:
                             raise RewriteGraphLimit(
                                 f"more than {state_cap} states from probe {probe}"
                             )
-                        seen[key] = succ
+                        seen.add(succ)
                         nxt.append(succ)
             frontier = nxt
-        forms = tuple(sorted(format_formal(p) for p in normal.values()))
-        results.append(ProbeResult(tuple(sorted(probe)), forms, len(seen)))
+        for state in normal:
+            if state not in forms:
+                forms[state] = format_formal(states[state])
+        normal_forms = tuple(sorted(forms[state] for state in normal))
+        results.append(ProbeResult(tuple(sorted(probe)), normal_forms, len(seen)))
     return ConfluenceReport(tuple(results))
 
 

@@ -89,6 +89,16 @@ def full_permutation(subset: Subset, n: int) -> tuple[int, ...]:
     return chosen + rest
 
 
+def _root_lattice_shift(w: Pair, n: int, d: int) -> int:
+    """Validate the pair and the ample degree ``d``; return ``2d/n``."""
+    check_pair(w, n)
+    if d < 1:
+        raise ValueError(f"polarization degree must be >= 1, got {d}")
+    if (2 * d) % n != 0:
+        raise ValueError(f"weight {d}*omega_2 is not in the root lattice for n={n}")
+    return (2 * d) // n
+
+
 def weight_root_coords(w: Pair, n: int, d: int) -> tuple[int, ...]:
     """Simple-root coordinates of the pair representative applied to d
     times the second fundamental weight.
@@ -96,17 +106,15 @@ def weight_root_coords(w: Pair, n: int, d: int) -> tuple[int, ...]:
     The weight is normalized to sum zero in epsilon-coordinates, giving the
     integer vector ``c`` with ``c_i = d*[i in w] - 2d/n``; the coordinate on
     the k-th simple root is the prefix sum ``c_1 + ... + c_k``.  Requires
-    ``n | 2d`` so that everything stays integral.
+    an ample polarization, ``d >= 1``, and ``n | 2d`` so that everything
+    stays integral.
 
     >>> weight_root_coords((3, 6), 6, 3)
     (-1, -2, 0, -1, -2)
     >>> weight_root_coords((1, 2), 6, 3)
     (2, 4, 3, 2, 1)
     """
-    check_pair(w, n)
-    if (2 * d) % n != 0:
-        raise ValueError(f"weight {d}*omega_2 is not in the root lattice for n={n}")
-    shift = (2 * d) // n
+    shift = _root_lattice_shift(w, n, d)
     members = set(w)
     coords: list[int] = []
     acc = 0
@@ -118,10 +126,7 @@ def weight_root_coords(w: Pair, n: int, d: int) -> tuple[int, ...]:
 
 def epsilon_vector(w: Pair, n: int, d: int) -> tuple[int, ...]:
     """Sum-zero epsilon-coordinate vector of the same weight (length n)."""
-    check_pair(w, n)
-    if (2 * d) % n != 0:
-        raise ValueError(f"weight {d}*omega_2 is not in the root lattice for n={n}")
-    shift = (2 * d) // n
+    shift = _root_lattice_shift(w, n, d)
     members = set(w)
     return tuple((d if i in members else 0) - shift for i in range(1, n + 1))
 

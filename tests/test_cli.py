@@ -136,6 +136,8 @@ def test_candidates(capsys):
 def test_parameter_error_exit_code(capsys):
     assert main(["straighten", "p[1,9]", "--n", "6"]) == 2
     assert main(["candidates", "--n", "6", "--w", "2,6"]) == 2
+    assert main(["stability", "--n", "6", "--w", "4,6", "--d", "-3"]) == 2
+    assert main(["stability", "--n", "6", "--w", "4,6", "--d", "0"]) == 2
     deep = "(" * 1200 + "p[1,2]" + ")" * 1200
     assert main(["straighten", deep, "--n", "4"]) == 2
 

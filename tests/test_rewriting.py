@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from reference_rewriting import reference_confluence_check
 
 from schubert_git.formal import format_formal, ytoken
 from schubert_git.poly import Poly
@@ -86,6 +87,90 @@ def test_polynomial_right_sides():
     assert report.confluent
     (form,) = report.results[0].normal_forms
     assert form == "x + y + x^2"  # x*(x+y), then the leftover x*y reduces too
+
+
+def _outcome(check, system, probes, state_cap=10_000):
+    try:
+        report = check(system, probes, state_cap=state_cap)
+    except RewriteGraphLimit as exc:
+        return ("limit", str(exc))
+    return [(r.probe, r.normal_forms, r.states_explored) for r in report.results]
+
+
+def _random_system(rng):
+    tokens = ["a", "b", "c", "d"][: rng.randint(3, 4)]
+    rules = []
+    while len(rules) < rng.randint(1, 4):
+        lhs = tuple(sorted(rng.choices(tokens, k=rng.randint(1, 2))))
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            mono = tuple(sorted(rng.choices(tokens, k=rng.randint(0, 2))))
+            terms[mono] = rng.choice([1, -1, 2])
+        rule = (lhs, Poly(terms))
+        try:
+            ReductionSystem((rule,))
+        except ValueError:  # the right side reproduces the left side
+            continue
+        rules.append(rule)
+    probes = [
+        tuple(rng.choices(tokens, k=rng.randint(1, 3))) for _ in range(rng.randint(2, 5))
+    ]
+    return ReductionSystem(tuple(rules)), probes
+
+
+def test_shared_graph_matches_reference():
+    cases = []
+    rng = random.Random(6)
+    for symbols in (4, 6, 8):
+        system = nesting_reduction_system(symbols)
+        cases.append((system, matching_probes(symbols), 10_000))
+        for _ in range(3):
+            shuffled = list(system.rules)
+            rng.shuffle(shuffled)
+            cases.append((ReductionSystem(tuple(shuffled)), matching_probes(symbols), 10_000))
+    counterexample = ReductionSystem(
+        (
+            (("a", "b"), Poly.from_monomial(["c", "c"])),
+            (("a", "b"), Poly.from_monomial(["d", "d"])),
+        )
+    )
+    cases.append((counterexample, [("a", "b"), ("a", "b", "e"), ("a", "a", "b", "b")], 10_000))
+    polynomial = ReductionSystem(((("x", "y"), Poly.variable("x") + Poly.variable("y")),))
+    cases.append((polynomial, [("x", "x", "y"), ("x", "y"), ("x", "y", "y")], 10_000))
+    for _ in range(50):
+        system, probes = _random_system(rng)
+        cases.append((system, probes, 25))
+    limited = 0
+    for system, probes, cap in cases:
+        expected = _outcome(reference_confluence_check, system, probes, cap)
+        assert _outcome(confluence_check, system, probes, cap) == expected
+        limited += expected[0] == "limit"
+    # Both the finished and the refused branch are compared.
+    assert 0 < limited < len(cases) - 20
+
+
+def test_state_cap_is_per_probe():
+    # The six-symbol matchings come first and add 15 states to the shared
+    # graph before the probe that alone reaches 105; a cap counted over the
+    # shared graph would refuse it.
+    system = nesting_reduction_system(8)
+    probes = matching_probes(6) + matching_probes(8)
+    report = confluence_check(system, probes)
+    cap = max(r.states_explored for r in report.results)
+    assert cap == 105
+    assert confluence_check(system, probes, state_cap=cap) == report
+    with pytest.raises(RewriteGraphLimit):
+        confluence_check(system, probes, state_cap=cap - 1)
+
+
+def test_nesting_system_ten_symbols():
+    report = confluence_check(nesting_reduction_system(10), matching_probes(10))
+    assert len(report.results) == 945
+    assert report.confluent
+    expected = format_formal(Poly.from_monomial(nested_normal_form(10)))
+    assert expected == "y[1,10]*y[2,9]*y[3,8]*y[4,7]*y[5,6]"
+    assert all(r.normal_forms == (expected,) for r in report.results)
+    assert sum(r.states_explored for r in report.results) == 207_738
 
 
 def test_state_cap():

@@ -71,6 +71,15 @@ def test_weight_root_coords_root_lattice_error():
         weight_root_coords((1, 2), 6, 2)
 
 
+@pytest.mark.parametrize("d", [0, -3])
+def test_non_ample_polarization_is_refused(d):
+    # d = 0 and d = -3 lie in the root lattice for n = 6 but are not ample.
+    message = f"polarization degree must be >= 1, got {d}"
+    for call in (weight_root_coords, epsilon_vector, stability_status):
+        with pytest.raises(ValueError, match=message):
+            call((4, 6), 6, d)
+
+
 def test_epsilon_round_trip():
     # Differencing the prefix sums recovers the epsilon vector exactly.
     for n in (4, 6, 8, 10):
