@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """One-shot reproduction run: every recorded identity suite, the relation
-kernels, the confluence check, and the singular counts, with a summary
-table.  Exits 1 if anything fails."""
+kernels, the section-space dimensions, the confluence check, and the
+singular counts, with a summary table.  Exits 1 if anything fails."""
 
 import sys
 import time
@@ -54,6 +54,11 @@ def main() -> int:
         support = SupportRange(case.n, case.v, case.w)
         dims = [hilbert_count(support, d) for d in (1, 2)]
         print(f"  {name}: degree 1 -> {dims[0]}, degree 2 -> {dims[1]}")
+    # Full windows, against the Kostka numbers K_{(3n/2, 3n/2), (3^n)}.
+    for n, kostka in ((14, 679172), (16, 8976188)):
+        count = hilbert_count(SupportRange.full(n), 3)
+        print(f"  full n={n}: degree 3 -> {count}, Kostka {kostka}")
+        failures += count != kostka
 
     print("== confluence ==")
     rep = confluence_check(nesting_reduction_system(6), matching_probes(6))

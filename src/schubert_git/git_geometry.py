@@ -156,17 +156,29 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
 
     Membership is tested exactly: the translate lies in X(w) iff every
     Pluecker coordinate indexed outside the lower interval of w vanishes.
+    Row i of the translate is row ``perm^-1(i)`` of xi, so its minor on
+    rows (i, j) is, up to sign, xi's own minor on the preimage rows.  Each
+    call therefore computes xi's n(n-1)/2 minors once and keeps the set of
+    pairs where they vanish; a coset is a member iff every pair outside the
+    interval maps to that set, so every coset is one when no pair is
+    outside.
     """
     check_pair(w, n)
     if stability_status(w, n, n // 2) == Stability.NO_SEMISTABLE:
         raise ValueError(f"X{w} admits no semistable points for n={n}")
     xi = xi_point(n, seed)
     outside = [t for t in coset_reps(n, 2) if not bruhat_leq(t, w)]
-    members: list[Subset] = []
-    for subset in coset_reps(n, n // 2):
-        matrix = permuted_matrix(subset, xi)
-        if all(matrix.minor(*t) == 0 for t in outside):
-            members.append(subset)
+    zero = {t for t, minor in xi.matrix.minors().items() if minor == 0}
+
+    def stays_inside(subset: Subset) -> bool:
+        preimage = [0] * (n + 1)
+        for row, image in enumerate(full_permutation(subset, n), 1):
+            preimage[image] = row
+        return all(sorted_pair(preimage[i], preimage[j]) in zero for i, j in outside)
+
+    members = [
+        subset for subset in coset_reps(n, n // 2) if not outside or stays_inside(subset)
+    ]
     member_set = set(members)
     pairs: list[tuple[Subset, Subset]] = []
     for subset in members:

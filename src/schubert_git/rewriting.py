@@ -20,6 +20,9 @@ from .formal import format_formal, ytoken
 from .poly import Monomial, Poly
 
 
+STATE_CAP = 10_000
+
+
 class RewriteGraphLimit(RuntimeError):
     """Raised when the explored rewrite graph exceeds the state cap."""
 
@@ -89,7 +92,7 @@ class ConfluenceReport:
 def confluence_check(
     system: ReductionSystem,
     probes: list[Monomial],
-    state_cap: int = 10_000,
+    state_cap: int = STATE_CAP,
 ) -> ConfluenceReport:
     """Explore all reduction sequences from each probe monomial.
 

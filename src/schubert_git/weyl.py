@@ -83,10 +83,10 @@ def full_permutation(subset: Subset, n: int) -> tuple[int, ...]:
     (1, 2, 4, 3, 5, 6)
     """
     chosen = tuple(sorted(subset))
-    if len(set(chosen)) != len(chosen) or not all(1 <= x <= n for x in chosen):
+    taken = set(chosen)
+    if len(taken) != len(chosen) or not all(1 <= x <= n for x in chosen):
         raise ValueError(f"invalid subset {subset} for n={n}")
-    rest = tuple(x for x in range(1, n + 1) if x not in set(chosen))
-    return chosen + rest
+    return chosen + tuple(x for x in range(1, n + 1) if x not in taken)
 
 
 def _root_lattice_shift(w: Pair, n: int, d: int) -> int:

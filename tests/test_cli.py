@@ -140,6 +140,12 @@ def test_parameter_error_exit_code(capsys):
     assert main(["stability", "--n", "6", "--w", "4,6", "--d", "0"]) == 2
     deep = "(" * 1200 + "p[1,2]" + ")" * 1200
     assert main(["straighten", deep, "--n", "4"]) == 2
+    # 11!! = 10395 matchings are over the 10,000-state cap: refused before
+    # any rewriting, with the count and the cap in the message.
+    capsys.readouterr()
+    assert main(["confluence", "--symbols", "12"]) == 2
+    err = capsys.readouterr().err
+    assert "(12-1)!! = 10395" in err and "10000" in err
 
 
 def test_internal_fault_exit_code(capsys, monkeypatch):

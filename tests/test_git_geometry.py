@@ -18,7 +18,9 @@ from schubert_git.git_geometry import (
 from schubert_git.invariants import content, invariant_basis
 from schubert_git.plucker import evaluate, pmono
 from schubert_git.straightening import SupportRange, is_standard
-from schubert_git.weyl import bruhat_leq, coset_reps, stability_status
+from schubert_git.weyl import Stability, bruhat_leq, coset_reps, stability_status
+
+from reference_git_geometry import reference_singular_candidates
 
 
 def test_xi_point_structure():
@@ -105,6 +107,16 @@ def test_singular_candidate_counts_full_grassmannian(n, expected):
     assert len(result.members) == comb(n, n // 2)
     assert result.l_size == expected
     assert result.l_size == comb(n, n // 2) // 2
+
+
+@pytest.mark.parametrize("n", range(4, 15, 2))
+def test_singular_candidates_match_matrix_per_coset_reference(n):
+    semistable = [
+        w for w in coset_reps(n, 2) if stability_status(w, n, n // 2) != Stability.NO_SEMISTABLE
+    ]
+    for seed in range(3):
+        for w in semistable:
+            assert singular_candidates(w, n, seed) == reference_singular_candidates(w, n, seed)
 
 
 def test_pairing_is_fixed_point_free_involution():

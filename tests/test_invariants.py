@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
@@ -18,6 +19,7 @@ from schubert_git.invariants import (
 )
 from schubert_git.plucker import evaluate, random_schubert_point
 from schubert_git.straightening import SupportRange, is_standard, straighten
+from schubert_git.weyl import bruhat_leq, coset_reps
 
 
 def test_content_examples():
@@ -82,6 +84,52 @@ def test_hilbert_counts(g26_support, x68_support, x710_support):
     for n in (6, 8, 10):
         assert hilbert_count(SupportRange.schubert(n, (n // 2, n)), 1) == 1
         assert hilbert_count(SupportRange.schubert(n, (n // 2 + 1, n)), 1) == n // 2
+
+
+# Largest degree drawn per n, so that the enumerated oracle stays small.
+_MAX_RANDOM_DEGREE = {4: 4, 6: 4, 8: 3, 10: 2, 12: 2}
+
+
+def _random_window(rng: random.Random, n: int) -> SupportRange:
+    # Index 1 only fits the top row and index n only the bottom row, so a
+    # nonzero count needs v_0 = 1 and w_1 = n.  Most draws keep both; the
+    # rest are any Richardson window, v_0 > 1 among them.
+    if rng.random() < 0.8:
+        return SupportRange(n, (1, rng.randint(2, n)), (rng.randint(1, n - 1), n))
+    pairs = coset_reps(n, 2)
+    v = rng.choice(pairs)
+    w = rng.choice([t for t in pairs if bruhat_leq(v, t)])
+    return SupportRange(n, v, w)
+
+
+def test_hilbert_count_matches_enumeration_on_random_windows():
+    rng = random.Random(7)
+    shifted = nonzero = 0
+    for _ in range(1200):
+        n = rng.choice(sorted(_MAX_RANDOM_DEGREE))
+        d = rng.randint(1, _MAX_RANDOM_DEGREE[n])
+        support = _random_window(rng, n)
+        count = hilbert_count(support, d)
+        assert count == len(invariant_basis(support, d)), (support, d)
+        shifted += support.v[0] > 1
+        nonzero += count > 0
+    assert shifted >= 100 and nonzero >= 300
+
+
+def _kostka_two_row(n: int, d: int) -> int:
+    """K_{(dn/2, dn/2), (d^n)} by Jacobi-Trudi: M(dn/2) - M(dn/2 + 1), where
+    M(a) counts the vectors in [0, d]^n with sum a."""
+    ways = [1]
+    for _ in range(n):
+        ways = [sum(ways[max(0, a - d) : a + 1]) for a in range(len(ways) + d)]
+    return ways[d * n // 2] - ways[d * n // 2 + 1]
+
+
+@pytest.mark.parametrize("n", range(4, 25, 2))
+def test_full_window_hilbert_counts_are_kostka_numbers(n):
+    # Degree one enumerates its chains, so it stops at n = 16 (1430 chains).
+    for d in range(1 if n <= 16 else 2, 5):
+        assert hilbert_count(SupportRange.full(n), d) == _kostka_two_row(n, d)
 
 
 def test_unique_invariant_on_minimal_semistable():

@@ -26,3 +26,6 @@ def test_script_exits_zero(script):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    if script == "reproduce_all.py":
+        assert "full n=14: degree 3 -> 679172," in proc.stdout
+        assert "full n=16: degree 3 -> 8976188," in proc.stdout
