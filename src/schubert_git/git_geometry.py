@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .plucker import PlaneMatrix, evaluate, pmono
+from .plucker import PlaneMatrix, evaluate, pmono, vanishing_pattern
 from .poly import Monomial
 from .weyl import (
     Pair,
@@ -156,29 +156,29 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
 
     Membership is tested exactly: the translate lies in X(w) iff every
     Pluecker coordinate indexed outside the lower interval of w vanishes.
-    Row i of the translate is row ``perm^-1(i)`` of xi, so its minor on
-    rows (i, j) is, up to sign, xi's own minor on the preimage rows.  Each
-    call therefore computes xi's n(n-1)/2 minors once and keeps the set of
-    pairs where they vanish; a coset is a member iff every pair outside the
-    interval maps to that set, so every coset is one when no pair is
-    outside.
+    When no pair is outside, as for the Bruhat maximum w = (n-1, n), every
+    coset is a member and no minor is computed.  Otherwise row i of the
+    translate is row ``perm^-1(i)`` of xi, so its minor on rows (i, j) is,
+    up to sign, xi's own minor on the preimage rows: each call computes
+    xi's n(n-1)/2 minors once and keeps the set of pairs where they vanish,
+    and a coset is a member iff every outside pair maps into that set.
     """
     check_pair(w, n)
     if stability_status(w, n, n // 2) == Stability.NO_SEMISTABLE:
         raise ValueError(f"X{w} admits no semistable points for n={n}")
     xi = xi_point(n, seed)
     outside = [t for t in coset_reps(n, 2) if not bruhat_leq(t, w)]
-    zero = {t for t, minor in xi.matrix.minors().items() if minor == 0}
+    members = coset_reps(n, n // 2)
+    if outside:
+        zero = vanishing_pattern(xi.matrix)
 
-    def stays_inside(subset: Subset) -> bool:
-        preimage = [0] * (n + 1)
-        for row, image in enumerate(full_permutation(subset, n), 1):
-            preimage[image] = row
-        return all(sorted_pair(preimage[i], preimage[j]) in zero for i, j in outside)
+        def stays_inside(subset: Subset) -> bool:
+            preimage = [0] * (n + 1)
+            for row, image in enumerate(full_permutation(subset, n), 1):
+                preimage[image] = row
+            return all(sorted_pair(preimage[i], preimage[j]) in zero for i, j in outside)
 
-    members = [
-        subset for subset in coset_reps(n, n // 2) if not outside or stays_inside(subset)
-    ]
+        members = [subset for subset in members if stays_inside(subset)]
     member_set = set(members)
     pairs: list[tuple[Subset, Subset]] = []
     for subset in members:
