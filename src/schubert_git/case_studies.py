@@ -11,11 +11,16 @@ verify every one of these by straightening.
 Also here: the closed-form generator families for the small windows whose
 quotients are projective spaces (generators ``X_t``) and toric varieties
 (generators ``Y_{i,j}``).
+
+The three case studies are built on first use, not at import: ``CASES``,
+``G26``, ``X68`` and ``X710`` read as module attributes all come from one
+cached build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .formal import substitute, x_monomial, xvar, yvar
@@ -309,11 +314,20 @@ def _x710() -> CaseStudy:
     )
 
 
-G26 = _g26()
-X68 = _x68()
-X710 = _x710()
+@cache
+def _cases() -> dict[str, CaseStudy]:
+    return {c.name: c for c in (_g26(), _x68(), _x710())}
 
-CASES: dict[str, CaseStudy] = {c.name: c for c in (G26, X68, X710)}
+
+def __getattr__(name: str):
+    if name == "CASES":
+        value = _cases()
+    elif name in ("G26", "X68", "X710"):
+        value = _cases()[name.lower()]
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def case_kernel_identities(case: CaseStudy) -> list[Identity]:
@@ -368,7 +382,7 @@ def generator_labels(n: int, v: Pair, w: Pair) -> tuple[tuple[str, Monomial], ..
     ``v=(1,k+1), w=(n/2+1,n)``, and the toric windows
     ``v=(1,k+1), w=(n/2+2,n)``.
     """
-    for case in CASES.values():
+    for case in _cases().values():
         if (case.n, case.v, case.w) == (n, v, w):
             return case.generators
     if n % 2 == 0:

@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
 Every randomized subcommand takes --seed (default 0) and is
 bit-reproducible; --json switches the human-readable text to machine
 records.
+
+Each handler imports the modules it calls when it runs, so a process
+loads only what its subcommand needs: ``minimal`` and ``stability`` load
+``weyl`` alone, and nothing builds the worked case studies unless a
+subcommand reads one.
 """
 
 from __future__ import annotations
@@ -12,15 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import case_studies, git_geometry, invariants, presentations, rewriting
-from .expr import parse_expr, lower_plucker
-from .formal import format_formal
-from .plucker import format_plucker, pmono
-from .poly import Poly
-from .straightening import SupportRange, standard_basis, straighten
-from .weyl import minimal_elements, stability_status
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .straightening import SupportRange
+
+# The names of case_studies.CASES, sorted; the parser offers them without
+# importing that module, and a test keeps the two in step.
+CASE_NAMES = ("g26", "x68", "x710")
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -32,6 +38,8 @@ def _pair(text: str) -> tuple[int, int]:
 
 
 def _point(text: str) -> list[Fraction]:
+    from fractions import Fraction
+
     try:
         return [Fraction(x) for x in text.split(",")]
     except (ValueError, ZeroDivisionError):
@@ -47,12 +55,16 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _support(args) -> SupportRange:
+    from .straightening import SupportRange
+
     v = getattr(args, "v", None) or (1, 2)
     w = getattr(args, "w", None) or (args.n - 1, args.n)
     return SupportRange(args.n, v, w)
 
 
 def cmd_minimal(args) -> int:
+    from .weyl import minimal_elements
+
     w_ss, w_s = minimal_elements(args.n)
     _emit(
         args,
@@ -63,6 +75,8 @@ def cmd_minimal(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    from .weyl import stability_status
+
     d = args.d if args.d is not None else args.n // 2
     status = stability_status(args.w, args.n, d)
     _emit(
@@ -74,12 +88,18 @@ def cmd_stability(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    from .plucker import format_plucker, pmono
+
     support = _support(args)
     if args.kind == "standard":
+        from .straightening import standard_basis
+
         monos = standard_basis(support, args.degree)
         labels = [f"m_{k}" for k in range(1, len(monos) + 1)]
     else:
-        gens = invariants.invariant_basis(support, args.degree)
+        from .invariants import invariant_basis
+
+        gens = invariant_basis(support, args.degree)
         monos, labels = list(gens.monomials), list(gens.labels)
     payload = {
         "n": support.n,
@@ -101,6 +121,10 @@ def cmd_basis(args) -> int:
 
 
 def cmd_straighten(args) -> int:
+    from .expr import lower_plucker, parse_expr
+    from .plucker import format_plucker
+    from .straightening import straighten
+
     support = _support(args)
     poly = lower_plucker(parse_expr(args.expr, support.n), support.n)
     result = straighten(poly, support)
@@ -119,14 +143,20 @@ def cmd_straighten(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    from .formal import format_formal
+    from .invariants import multiplication_kernel
+
     if args.case:
-        case = case_studies.CASES[args.case]
+        from .case_studies import CASES
+        from .straightening import SupportRange
+
+        case = CASES[args.case]
         support = SupportRange(case.n, case.v, case.w)
     elif args.n is None:
         raise ValueError("relations needs --case or an explicit --n window")
     else:
         support = _support(args)
-    kernel = invariants.multiplication_kernel(support, args.degree)
+    kernel = multiplication_kernel(support, args.degree)
     payload = {
         "n": support.n,
         "v": list(support.v),
@@ -143,10 +173,13 @@ def cmd_relations(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .expr import lower_plucker, parse_expr
+    from .presentations import verify_identity
+
     support = _support(args)
     lhs = lower_plucker(parse_expr(args.lhs, support.n), support.n)
     rhs = lower_plucker(parse_expr(args.rhs, support.n), support.n)
-    ok = presentations.verify_identity(lhs, rhs, support)
+    ok = verify_identity(lhs, rhs, support)
     _emit(
         args,
         {
@@ -163,12 +196,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .presentations import case_suite, toric_suite
+
     if args.case == "richardson":
         if args.n is None or args.k is None:
             raise ValueError("case richardson needs --n and --k")
-        report = presentations.toric_suite(args.n, args.k)
+        report = toric_suite(args.n, args.k)
     else:
-        report = presentations.case_suite(args.case)
+        report = case_suite(args.case)
     payload = {
         "case": report.case,
         "total": len(report.records),
@@ -195,7 +230,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    report = presentations.case_jacobian(args.case, args.point)
+    from .presentations import case_jacobian
+
+    report = case_jacobian(args.case, args.point)
     payload = {
         "case": args.case,
         "point": [str(x) for x in args.point],
@@ -213,6 +250,10 @@ def cmd_jacobian(args) -> int:
 
 
 def cmd_confluence(args) -> int:
+    from . import rewriting
+    from .formal import format_formal
+    from .poly import Poly
+
     # Every state of the nesting system is a perfect matching, and the
     # side-by-side probe reaches all (symbols-1)!! of them, so a symbol
     # count over the state cap is refused before any work.  The product
@@ -258,7 +299,9 @@ def cmd_confluence(args) -> int:
 
 
 def cmd_singular_count(args) -> int:
-    candidates = git_geometry.singular_candidates(
+    from .git_geometry import singular_candidates
+
+    candidates = singular_candidates(
         (args.n - 1, args.n), args.n, seed=args.seed
     )
     _emit(
@@ -270,8 +313,10 @@ def cmd_singular_count(args) -> int:
 
 
 def cmd_candidates(args) -> int:
+    from .git_geometry import singular_candidates
+
     w = args.w or (args.n - 1, args.n)
-    candidates = git_geometry.singular_candidates(w, args.n, seed=args.seed)
+    candidates = singular_candidates(w, args.n, seed=args.seed)
     payload = {
         "n": args.n,
         "w": list(w),
@@ -322,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_pair, default=None)
 
     p = add("relations", cmd_relations, help="kernel of the multiplication map")
-    p.add_argument("--case", choices=sorted(case_studies.CASES), default=None)
+    p.add_argument("--case", choices=CASE_NAMES, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--v", type=_pair, default=None)
     p.add_argument("--w", type=_pair, default=None)
@@ -338,14 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("reproduce", cmd_reproduce, help="run a recorded identity suite")
     p.add_argument(
         "--case",
-        choices=sorted(case_studies.CASES) + ["richardson"],
+        choices=[*CASE_NAMES, "richardson"],
         required=True,
     )
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
 
     p = add("jacobian", cmd_jacobian, help="Jacobian rank of a presentation")
-    p.add_argument("--case", choices=sorted(case_studies.CASES), required=True)
+    p.add_argument("--case", choices=CASE_NAMES, required=True)
     p.add_argument("--point", type=_point, required=True)
 
     p = add("confluence", cmd_confluence, help="diamond-lemma confluence check")

@@ -145,9 +145,8 @@ class SingularCandidateSet:
     l_size: int
 
 
-def _complement(subset: Subset, n: int) -> Subset:
-    chosen = set(subset)
-    return tuple(x for x in range(1, n + 1) if x not in chosen)
+def _complement(subset: Subset, everything: frozenset[int]) -> Subset:
+    return tuple(sorted(everything.difference(subset)))
 
 
 def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
@@ -180,9 +179,10 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
 
         members = [subset for subset in members if stays_inside(subset)]
     member_set = set(members)
+    everything = frozenset(range(1, n + 1))
     pairs: list[tuple[Subset, Subset]] = []
     for subset in members:
-        partner = _complement(subset, n)
+        partner = _complement(subset, everything)
         if partner == subset:
             raise RuntimeError(f"complementation fixes {subset}; pairing broken")
         if partner not in member_set:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from schubert_git.git_geometry import (
     SingularCandidateSet,
-    _complement,
     permuted_matrix,
     xi_point,
 )
@@ -41,7 +40,7 @@ def reference_singular_candidates(
     member_set = set(members)
     pairs: list[tuple[Subset, Subset]] = []
     for subset in members:
-        partner = _complement(subset, n)
+        partner = tuple(x for x in range(1, n + 1) if x not in subset)
         if partner == subset:
             raise RuntimeError(f"complementation fixes {subset}; pairing broken")
         if partner not in member_set:

@@ -1,8 +1,9 @@
+import argparse
 import json
 import subprocess
 import sys
 
-from schubert_git import cli
+from schubert_git import case_studies, cli, straightening
 from schubert_git.cli import main
 from schubert_git.straightening import StraighteningLimit
 
@@ -152,9 +153,17 @@ def test_internal_fault_exit_code(capsys, monkeypatch):
     def exhausted(poly, support):
         raise StraighteningLimit("exceeded the rewrite step ceiling")
 
-    monkeypatch.setattr(cli, "straighten", exhausted)
+    monkeypatch.setattr(straightening, "straighten", exhausted)
     assert main(["straighten", "p[2,5]*p[3,4]", "--n", "6"]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_case_choices_match_case_studies():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, extra in [("relations", []), ("reproduce", ["richardson"]), ("jacobian", [])]:
+        (case,) = [a for a in commands.choices[name]._actions if a.dest == "case"]
+        assert list(case.choices) == sorted(case_studies.CASES) + extra
 
 
 def test_json_schema_stability(capsys):

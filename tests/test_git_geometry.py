@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schubert_git import git_geometry
 from schubert_git.git_geometry import (
     invariant_evaluation_vector,
     permuted_matrix,
@@ -145,6 +146,21 @@ def test_singular_candidates_proper_schubert():
 def test_singular_candidates_requires_semistability():
     with pytest.raises(ValueError):
         singular_candidates((2, 6), 6)
+
+
+def test_singular_candidates_self_check_fixed_point(monkeypatch):
+    monkeypatch.setattr(git_geometry, "_complement", lambda subset, everything: subset)
+    with pytest.raises(RuntimeError, match="complementation fixes"):
+        singular_candidates((5, 6), 6)
+
+
+def test_singular_candidates_self_check_not_closed(monkeypatch):
+    # X(4,6) keeps 8 of the 20 cosets, so a non-member exists.
+    members = set(singular_candidates((4, 6), 6).members)
+    outsider = next(s for s in coset_reps(6, 3) if s not in members)
+    monkeypatch.setattr(git_geometry, "_complement", lambda subset, everything: outsider)
+    with pytest.raises(RuntimeError, match="not closed under complementation"):
+        singular_candidates((4, 6), 6)
 
 
 def test_membership_agrees_with_combinatorial_criterion():
