@@ -408,16 +408,13 @@ def toric_identities(n: int, k: int) -> list[Identity]:
     half = n // 2
     if n % 2 or not 2 <= k <= half - 2:
         raise ValueError(f"need even n and 2 <= k <= n/2-2, got n={n}, k={k}")
+    indices = range(k + 1, half + 3)
+    y = {(i, j): pmono(toric_generator(n, i, j)) for i, j in combinations(indices, 2)}
     out: list[Identity] = []
-    for i, j, m, s in combinations(range(k + 1, half + 3), 4):
-        yij = pmono(toric_generator(n, i, j))
-        yms = pmono(toric_generator(n, m, s))
-        yim = pmono(toric_generator(n, i, m))
-        yjs = pmono(toric_generator(n, j, s))
-        yis = pmono(toric_generator(n, i, s))
-        yjm = pmono(toric_generator(n, j, m))
-        out.append(Identity(f"exchange-{i}.{j}.{m}.{s}", yij * yms, yim * yjs))
-        out.append(Identity(f"nest-{i}.{j}.{m}.{s}", yim * yjs, yis * yjm))
+    for i, j, m, s in combinations(indices, 4):
+        crossing = y[i, m] * y[j, s]
+        out.append(Identity(f"exchange-{i}.{j}.{m}.{s}", y[i, j] * y[m, s], crossing))
+        out.append(Identity(f"nest-{i}.{j}.{m}.{s}", crossing, y[i, s] * y[j, m]))
     return out
 
 

@@ -53,7 +53,7 @@ def x_monomial(indices: tuple[int, ...], coeff: Fraction | int = 1) -> Poly:
 
 def partial_derivative(p: Poly, token) -> Poly:
     """Exact partial derivative with respect to one variable token."""
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Fraction | int] = {}
     for mono, coeff in p.terms.items():
         exponent = mono.count(token)
         if not exponent:
@@ -61,7 +61,7 @@ def partial_derivative(p: Poly, token) -> Poly:
         lowered = list(mono)
         lowered.remove(token)
         key = tuple(lowered)
-        out[key] = out.get(key, Fraction(0)) + coeff * exponent
+        out[key] = out.get(key, 0) + coeff * exponent
     return Poly(out)
 
 

@@ -5,10 +5,15 @@ degree, so repeated tokens encode powers:
 
     ((1, 2), (1, 2), (3, 4))  is  p[1,2]^2 * p[3,4]
 
-A polynomial maps monomials to nonzero Fraction coefficients.  The token
-type only needs total ordering and hashability; this package uses row-index
-pairs ``(i, j)`` for Pluecker variables and tuples ``("x", k)`` or
-``("y", i, j)`` for formal generators.
+A polynomial maps monomials to nonzero exact coefficients: an ``int``
+when the coefficient is integral and a ``Fraction`` otherwise, so the
+integral polynomials met almost everywhere here run on ``int`` arithmetic.
+The token type only needs total ordering and hashability; this package uses
+row-index pairs ``(i, j)`` for Pluecker variables and tuples ``("x", k)``
+or ``("y", i, j)`` for formal generators.
+
+>>> Poly({("a",): Fraction(4, 2)}).terms == {("a",): 2}
+True
 
 >>> x = Poly.variable("a")
 >>> y = Poly.variable("b")
@@ -38,12 +43,15 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
-        canon: dict[Monomial, Fraction] = {}
+        canon: dict[Monomial, Fraction | int] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    canon[mono] = c
+                if type(coeff) is not int:
+                    coeff = Fraction(coeff)
+                    if coeff.denominator == 1:
+                        coeff = coeff.numerator
+                if coeff:
+                    canon[mono] = coeff
         self.terms = canon
 
     @classmethod
@@ -52,15 +60,15 @@ class Poly:
 
     @classmethod
     def const(cls, value: Fraction | int) -> "Poly":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def variable(cls, token: Token) -> "Poly":
-        return cls({(token,): Fraction(1)})
+        return cls({(token,): 1})
 
     @classmethod
     def from_monomial(cls, tokens: Iterable[Token], coeff: Fraction | int = 1) -> "Poly":
-        return cls({monomial(tokens): Fraction(coeff)})
+        return cls({monomial(tokens): coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -85,7 +93,7 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
+            out[mono] = out.get(mono, 0) + coeff
         return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -93,7 +101,7 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) - coeff
+            out[mono] = out.get(mono, 0) - coeff
         return Poly(out)
 
     def __neg__(self) -> "Poly":
@@ -106,11 +114,11 @@ class Poly:
             return Poly({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Fraction | int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = tuple(sorted(ma + mb))
-                out[mono] = out.get(mono, Fraction(0)) + ca * cb
+                out[mono] = out.get(mono, 0) + ca * cb
         return Poly(out)
 
     __rmul__ = __mul__
@@ -127,7 +135,7 @@ class Poly:
         """Largest monomial length; 0 for the zero polynomial."""
         return max((len(m) for m in self.terms), default=0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction | int]]:
         """Terms in graded-lexicographic order (degree, then token tuple)."""
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 

@@ -13,7 +13,6 @@ many probes reach it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .formal import format_formal, ytoken
@@ -62,9 +61,7 @@ def reduce_steps(system: ReductionSystem, state: Poly) -> list[Poly]:
             quotient = _divide(mono, lhs)
             if quotient is None:
                 continue
-            replaced = state - Poly({mono: coeff}) + (rhs * coeff) * Poly(
-                {quotient: Fraction(1)}
-            )
+            replaced = state - Poly({mono: coeff}) + (rhs * coeff) * Poly({quotient: 1})
             out[replaced.key()] = replaced
     return list(out.values())
 
@@ -127,7 +124,7 @@ def confluence_check(
 
     results = []
     for probe in probes:
-        start = number(Poly({tuple(sorted(probe)): Fraction(1)}))
+        start = number(Poly({tuple(sorted(probe)): 1}))
         seen = {start}
         frontier = [start]
         normal: list[int] = []
@@ -226,6 +223,6 @@ def is_binomial_presentation(relations: list[Poly]) -> bool:
     for rel in relations:
         if len(rel.terms) != 2:
             return False
-        if sorted(rel.terms.values()) != [Fraction(-1), Fraction(1)]:
+        if sorted(rel.terms.values()) != [-1, 1]:
             return False
     return True

@@ -11,11 +11,12 @@ rewriting with the quadratic relations.
 One engine, :class:`Straightener`, computes the expansion.  It holds the
 state of one window explicitly: its normal-form cache and its counters of
 rewrite steps, cache hits and misses.  Coefficients are ``int`` inside the
-engine (every rewrite has coefficients +-1) and become ``Fraction`` only in
-the returned :class:`Poly`.  Both bounds of the window are pruned as soon
-as a factor appears, and pending monomials are rewritten in decreasing
-order of a measure that every rewrite lowers, so each one is rewritten
-once.
+engine (every rewrite has coefficients +-1), and the returned :class:`Poly`
+keeps the coefficient contract of :mod:`.poly`: ``int`` when integral,
+``Fraction`` otherwise, so an integral input stays on ``int`` throughout.
+Both bounds of the window are pruned as soon as a factor appears, and
+pending monomials are rewritten in decreasing order of a measure that every
+rewrite lowers, so each one is rewritten once.
 """
 
 from __future__ import annotations
@@ -199,8 +200,6 @@ class Straightener:
         for mono, coeff in p.terms.items():
             for t in mono:
                 check_pair(t, self.support.n)
-            if coeff.denominator == 1:
-                coeff = coeff.numerator
             for nf_mono, nf_coeff in self.monomial(mono).items():
                 out[nf_mono] = out.get(nf_mono, 0) + coeff * nf_coeff
         return Poly(out)

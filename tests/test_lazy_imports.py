@@ -50,8 +50,13 @@ HEAVY = {"case_studies", "invariants", "presentations", "straightening", "expr"}
         (["singular-count", "--n", "6"], None, HEAVY),
         (["candidates", "--n", "8", "--w", "6,8"], None, HEAVY),
         (["confluence", "--symbols", "6"], None, {"case_studies", "presentations"}),
+        (
+            ["verify", "--n", "6", "--lhs", "p[2,5]*p[3,4]", "--rhs", "p[2,4]*p[3,5] - p[2,3]*p[4,5]"],
+            None,
+            {"case_studies", "linalg", "formal"},
+        ),
     ],
-    ids=["minimal", "stability", "singular-count", "candidates", "confluence"],
+    ids=["minimal", "stability", "singular-count", "candidates", "confluence", "verify"],
 )
 def test_cli_loads_only_its_modules(argv, allowed, barred):
     code, loaded = _fresh(_CLI_PROBE, json.dumps(argv))

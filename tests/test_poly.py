@@ -3,7 +3,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from schubert_git.plucker import pmono
 from schubert_git.poly import Poly, monomial
+from schubert_git.straightening import Straightener, SupportRange
 
 from conftest import random_poly
 
@@ -61,3 +63,44 @@ def test_format_graded_lex():
     p = y * y - x + Poly.const(2)
     assert p.format(str) == "2 - a + b^2"
     assert Poly.zero().format(str) == "0"
+
+
+def test_integral_coefficients_are_stored_as_int():
+    m = ("a",)
+    for value in (Fraction(4, 2), 2):
+        (coeff,) = Poly({m: value}).terms.values()
+        assert coeff == 2 and type(coeff) is int
+    (one,) = Poly({m: True}).terms.values()
+    assert one == 1 and type(one) is int
+    (half,) = Poly({m: Fraction(1, 2)}).terms.values()
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    for p in (Poly.const(Fraction(6, 3)), Poly.variable("a"), Poly.from_monomial(["a", "b"], Fraction(-3, 1))):
+        assert all(type(c) is int for c in p.terms.values())
+
+
+def test_int_and_integral_fraction_coefficients_agree():
+    monos = [(), ("a",), ("a", "b"), ("b", "b")]
+    values = [3, -1, 1, -7]
+    as_int = Poly(dict(zip(monos, values)))
+    as_fraction = Poly({m: Fraction(v) for m, v in zip(monos, values)})
+    assert as_int == as_fraction
+    assert as_int.key() == as_fraction.key()
+    assert as_int.format(str) == as_fraction.format(str) == "3 - a + a*b - 7*b^2"
+    # Sums and products of int polynomials stay on int.
+    assert all(type(c) is int for c in (as_int * as_int - as_int).terms.values())
+    assert all(type(c) is int for c in (as_int * Fraction(1, 2) * 2).terms.values())
+
+
+def test_evaluate_returns_fraction():
+    p = Poly.variable("a") * 3 + Poly.const(1)
+    value = p.evaluate({"a": 2})
+    assert value == 7 and type(value) is Fraction
+    zero = Poly.zero().evaluate({})
+    assert zero == 0 and type(zero) is Fraction
+
+
+def test_straightener_keeps_integral_coefficients_int():
+    engine = Straightener(SupportRange.full(6))
+    nf = engine(pmono([(2, 5), (3, 4)], 3) + pmono([(1, 6), (2, 3)], Fraction(-2)))
+    assert nf.terms
+    assert all(type(c) is int for c in nf.terms.values())

@@ -202,6 +202,43 @@ def test_reports_expose_normal_forms_on_failure(g26_support):
     assert record.rhs_normal_form == "p[1,3]"
 
 
+def test_passing_record_prints_one_normal_form_for_both_sides(g26_support):
+    from schubert_git.presentations import _run_checks
+    from schubert_git.case_studies import Identity
+    from schubert_git.plucker import format_plucker
+    from schubert_git.straightening import straighten
+
+    lhs = pmono([(2, 5), (3, 4)])
+    true = Identity("true", lhs, pmono([(2, 4), (3, 5)]) - pmono([(2, 3), (4, 5)]))
+    false_rhs = pmono([(2, 4), (3, 5)])
+    false = Identity("false", lhs, false_rhs)
+    passed, failed = _run_checks("g26", [true, false], g26_support).records
+    assert passed.status == "pass"
+    assert passed.lhs_normal_form == passed.rhs_normal_form == format_plucker(straighten(lhs, g26_support))
+    assert failed.status == "fail"
+    assert failed.lhs_normal_form == passed.lhs_normal_form
+    assert failed.rhs_normal_form == format_plucker(straighten(false_rhs, g26_support))
+    assert failed.rhs_normal_form != failed.lhs_normal_form
+
+
+@pytest.mark.parametrize("n", [10, 12, 20])
+def test_toric_identities_match_per_identity_construction(n):
+    from itertools import combinations
+
+    from schubert_git.case_studies import toric_generator
+
+    def y(i, j):
+        return pmono(toric_generator(n, i, j))
+
+    for k in range(2, n // 2 - 1):
+        expected = []
+        for i, j, m, s in combinations(range(k + 1, n // 2 + 3), 4):
+            expected.append((f"exchange-{i}.{j}.{m}.{s}", y(i, j) * y(m, s), y(i, m) * y(j, s)))
+            expected.append((f"nest-{i}.{j}.{m}.{s}", y(i, m) * y(j, s), y(i, s) * y(j, m)))
+        got = [(ident.label, ident.lhs, ident.rhs) for ident in case_studies.toric_identities(n, k)]
+        assert got == expected
+
+
 def test_x710_cas_transcription_matches_recorded_relation():
     # The 12th recorded relation also circulates with its terms permuted;
     # both readings are literally the same polynomial.
