@@ -166,16 +166,6 @@ def hilbert_count(support: SupportRange, d: int) -> int:
     return ways[m]
 
 
-def _nf_times_monomial(
-    nf: dict[Monomial, int], factor: Monomial, straightener: Straightener
-) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for mono, coeff in nf.items():
-        for nf_mono, nf_coeff in straightener.monomial(mono + factor).items():
-            out[nf_mono] = out.get(nf_mono, 0) + coeff * nf_coeff
-    return {m: c for m, c in out.items() if c}
-
-
 def product_normal_forms(
     support: SupportRange, d: int
 ) -> tuple[GeneratorSet, dict[tuple[int, ...], dict[Monomial, int]]]:
@@ -183,22 +173,22 @@ def product_normal_forms(
 
     Returns the generator set and a map from index combinations (0-based,
     nondecreasing, lexicographic) to normal-form expansions with integer
-    coefficients.  Products are built one factor at a time so partial
-    products are shared, and one :class:`Straightener` serves the call.
+    coefficients.  Products are built one factor at a time, so partial
+    products are shared, and each degree is one rewrite pass of
+    :meth:`Straightener.batch`: its rows are the index combinations, each
+    the previous degree's normal form times one more generator, so every
+    distinct monomial of that degree is rewritten once for all rows.
     """
     gens = invariant_basis(support, 1)
     straightener = Straightener(support)
     level: dict[tuple[int, ...], dict[Monomial, int]] = {(): {(): 1}}
     for _ in range(d):
-        nxt: dict[tuple[int, ...], dict[Monomial, int]] = {}
+        rows: dict[tuple[int, ...], dict[Monomial, int]] = {}
         for combo, nf in level.items():
-            start = combo[-1] if combo else 0
-            for idx in range(start, len(gens)):
-                key = combo + (idx,)
-                if key in nxt:
-                    continue
-                nxt[key] = _nf_times_monomial(nf, gens.monomials[idx], straightener)
-        level = nxt
+            for idx in range(combo[-1] if combo else 0, len(gens)):
+                gen = gens.monomials[idx]
+                rows[combo + (idx,)] = {mono + gen: coeff for mono, coeff in nf.items()}
+        level = straightener.batch(rows)
     return gens, level
 
 

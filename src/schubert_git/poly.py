@@ -131,10 +131,6 @@ class Poly:
             result = result * self
         return result
 
-    def total_degree(self) -> int:
-        """Largest monomial length; 0 for the zero polynomial."""
-        return max((len(m) for m in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction | int]]:
         """Terms in graded-lexicographic order (degree, then token tuple)."""
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))

@@ -16,7 +16,10 @@ keeps the coefficient contract of :mod:`.poly`: ``int`` when integral,
 ``Fraction`` otherwise, so an integral input stays on ``int`` throughout.
 Both bounds of the window are pruned as soon as a factor appears, and
 pending monomials are rewritten in decreasing order of a measure that every
-rewrite lowers, so each one is rewritten once.
+rewrite lowers.  One rewrite pass straightens many rows at once, each row a
+combination of monomials: a pending monomial carries the coefficients of
+every row it occurs in, so each distinct monomial is rewritten once per pass
+for all rows.
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
-from typing import Iterable
+from heapq import heapify, heappop, heappush
+from typing import Hashable, Iterable, Mapping, TypeVar
 
 from .poly import Monomial, Poly, monomial
 from .weyl import Pair, bruhat_leq, check_pair, coset_reps
 
 MAX_REWRITE_STEPS = 10**6
+
+Row = TypeVar("Row", bound=Hashable)
 
 
 class StraighteningLimit(RuntimeError):
@@ -60,10 +65,6 @@ class SupportRange:
     @classmethod
     def schubert(cls, n: int, w: Pair) -> "SupportRange":
         return cls(n, (1, 2), w)
-
-    @property
-    def is_schubert(self) -> bool:
-        return self.v == (1, 2)
 
     def variables(self) -> list[Pair]:
         """Pairs in the window, in lexicographic order."""
@@ -104,18 +105,23 @@ class Straightener:
 
     ``monomial(factors)`` expands one monomial in the standard basis with
     ``int`` coefficients; calling the engine on a :class:`Poly` returns its
-    normal form as a ``Poly``.  Every normal form computed is cached on the
-    instance, so callers that straighten many related polynomials on one
-    window share one engine, and engines on different windows share
-    nothing.  ``steps`` counts rewrites; ``hits`` and ``misses`` count
-    ``monomial`` calls answered from the cache or computed.
+    normal form as a ``Poly``; ``batch(rows)`` straightens many integer
+    combinations of monomials at once.  Every monomial's normal form
+    computed by ``monomial`` is cached on the instance, so callers that
+    straighten many related polynomials on one window share one engine, and
+    engines on different windows share nothing.  ``steps`` counts rewrites;
+    ``hits`` and ``misses`` count ``monomial`` calls answered from the cache
+    or computed.
 
     The expansion rewrites an incomparable factor pair ``(a,b), (c,d)``
     (``a < c < d < b``) into ``(a,d)(c,b) - (a,c)(d,b)``.  Every rewrite
-    strictly lowers the measure ``sum (j - i)^2`` over the factors, so the
-    pending monomials are taken from a heap in decreasing measure: all
-    contributions to a monomial are summed before it is rewritten, and
-    each distinct monomial is rewritten at most once per call.  A factor
+    strictly lowers the measure ``sum (j - i)^2`` over the factors, so one
+    pass takes the pending monomials from a heap in decreasing measure.  A
+    pending monomial carries a sparse ``{row: coefficient}`` vector, and all
+    contributions to it from every row are summed before it is rewritten:
+    each distinct monomial is rewritten once per pass for all rows.  An
+    entry that cancels to zero is dropped, and a monomial whose vector is
+    empty is not rewritten.  ``monomial`` is a one-row pass.  A factor
     outside ``[v, w]`` kills its monomial as soon as it appears, at the
     input and after every rewrite: ``p_t`` lies in the window's ideal for
     such ``t``, and the normal form is unique.  The rewritten pair is the
@@ -135,71 +141,148 @@ class Straightener:
         """Standard-basis expansion of one monomial, as ``{chain: int}``.
 
         The result is the cached dict itself; callers must not modify it.
+        A factor that is not an index pair on ``n`` raises ``ValueError``.
         """
         key = monomial(factors)
         hit = self._cache.get(key)
         if hit is not None:
             self.hits += 1
             return hit
+        n = self.support.n
+        if not all(1 <= i < j <= n for i, j in key):
+            for t in key:  # raises, naming the first bad factor
+                check_pair(t, n)
         self.misses += 1
-        result = self._expand(key)
+        done = self._pass({key: {0: 1}})
+        result = {mono: vec[0] for mono, vec in done.items()}
         self._cache[key] = result
         return result
 
-    def _expand(self, start: Monomial) -> dict[Monomial, int]:
+    def batch(
+        self, rows: Mapping[Row, Mapping[tuple[Pair, ...], int]]
+    ) -> dict[Row, dict[Monomial, int]]:
+        """Normal forms of many integer combinations of monomials, in one
+        rewrite pass.
+
+        ``rows`` maps each row key to ``{factors: int}``, the factors of a
+        monomial in any order; the result maps each row key to its
+        expansion ``{chain: int}``, with no zero coefficients.  The pass
+        only adds and negates coefficients, so ``Fraction`` ones work too.
+        A monomial met in several rows, as a start or after a rewrite, is
+        rewritten once for all of them.  Nothing is cached.
+
+        >>> engine = Straightener(SupportRange.full(6))
+        >>> nf = engine.batch({
+        ...     "a": {((3, 4), (2, 5)): 1},
+        ...     "b": {((2, 5), (3, 4)): 2, ((2, 3), (4, 5)): 2},
+        ... })
+        >>> nf["a"]
+        {((2, 4), (3, 5)): 1, ((2, 3), (4, 5)): -1}
+        >>> nf["b"]
+        {((2, 4), (3, 5)): 2}
+        >>> engine.steps
+        1
+        """
+        pending: dict[Monomial, dict[Row, int]] = {}
+        for row, terms in rows.items():
+            for factors, coeff in terms.items():
+                vec = pending.setdefault(monomial(factors), {})
+                coeff += vec.get(row, 0)
+                if coeff:
+                    vec[row] = coeff
+                else:
+                    vec.pop(row, None)
+        for t in {t for mono in pending for t in mono}:
+            check_pair(t, self.support.n)
+        out: dict[Row, dict[Monomial, int]] = {row: {} for row in rows}
+        for mono, vec in self._pass(pending).items():
+            for row, coeff in vec.items():
+                out[row][mono] = coeff
+        return out
+
+    def _pass(
+        self, pending: dict[Monomial, dict[Row, int]]
+    ) -> dict[Monomial, dict[Row, int]]:
+        """The one rewrite loop: straighten the sorted monomials in
+        ``pending``, each with its ``{row: coefficient}`` vector, and return
+        the standard monomials reached with their nonzero vectors.
+        ``pending`` and its vectors are consumed."""
         (v0, v1), (w0, w1) = self.support.v, self.support.w
-        done: dict[Monomial, int] = {}
-        if not all(v0 <= i <= w0 and v1 <= j <= w1 for i, j in start):
-            return done
         limit = MAX_REWRITE_STEPS
         steps = 0
-        pending = {start: 1}
-        # Heap entries are (-measure, monomial): the largest measure first.
-        heap = [(-sum((j - i) ** 2 for i, j in start), start)]
-        while heap:
-            priority, mono = heappop(heap)
-            coeff = pending.pop(mono)
-            if not coeff:
-                continue
-            for k in range(len(mono) - 1):
-                if mono[k][1] > mono[k + 1][1]:
+        done: dict[Monomial, dict[Row, int]] = {}
+        # Pending monomials wait in buckets by measure, and the heap holds
+        # the distinct measures, negated, so the largest is taken first.
+        # Rewrites only lower the measure, so a bucket is taken whole.
+        buckets: dict[int, list[Monomial]] = {}
+        for mono in pending:
+            measure = 0
+            for i, j in mono:
+                if not (v0 <= i <= w0 and v1 <= j <= w1):
                     break
+                measure += (j - i) ** 2
             else:
-                done[mono] = coeff
-                continue
-            steps += 1
-            if steps > limit:
-                self.steps += steps
-                raise StraighteningLimit(f"exceeded {limit} rewrite steps on {start}")
-            (a, b), (c, d) = mono[k], mono[k + 1]
-            rest = mono[:k] + mono[k + 2 :]
-            # Against (a,b)(c,d), the measure of (a,d)(c,b) is lower by
-            # 2(c-a)(b-d) and that of (a,c)(d,b) by 2(d-a)(b-c).  The first
-            # keeps every entry in its place, so it stays in the window; the
-            # second makes c a second entry and d a first one.
-            products = [((a, d), (c, b), coeff, priority + 2 * (c - a) * (b - d))]
-            if v1 <= c and d <= w0:
-                drop = 2 * (d - a) * (b - c)
-                products.append(((a, c), (d, b), -coeff, priority + drop))
-            for x, y, term, after in products:
-                factors = list(rest)
-                insort(factors, x)
-                insort(factors, y)
-                new = tuple(factors)
-                old = pending.get(new)
-                if old is None:
-                    pending[new] = term
-                    heappush(heap, (after, new))
+                buckets.setdefault(measure, []).append(mono)
+        heap = [-measure for measure in buckets]
+        heapify(heap)
+        while heap:
+            measure = -heappop(heap)
+            for mono in buckets.pop(measure):
+                vec = pending.pop(mono)
+                if not vec:
+                    continue
+                for k in range(len(mono) - 1):
+                    if mono[k][1] > mono[k + 1][1]:
+                        break
                 else:
-                    pending[new] = old + term
+                    done[mono] = vec
+                    continue
+                steps += 1
+                if steps > limit:
+                    self.steps += steps
+                    raise StraighteningLimit(
+                        f"exceeded {limit} rewrite steps in one pass, at {mono}"
+                    )
+                (a, b), (c, d) = mono[k], mono[k + 1]
+                rest = mono[:k] + mono[k + 2 :]
+                # Against (a,b)(c,d), the measure of (a,d)(c,b) is lower by
+                # 2(c-a)(b-d) and that of (a,c)(d,b) by 2(d-a)(b-c).  The
+                # first keeps every entry in its place, so it stays in the
+                # window; the second makes c a second entry and d a first one.
+                products = [((a, d), (c, b), 1, measure - 2 * (c - a) * (b - d))]
+                if v1 <= c and d <= w0:
+                    drop = 2 * (d - a) * (b - c)
+                    products.append(((a, c), (d, b), -1, measure - drop))
+                for x, y, sign, after in products:
+                    factors = list(rest)
+                    insort(factors, x)
+                    insort(factors, y)
+                    new = tuple(factors)
+                    old = pending.get(new)
+                    if old is None:
+                        # vec is no longer pending, so the first product may
+                        # take it over: the second only reads it, and nothing
+                        # changes it before it is popped again.
+                        pending[new] = vec if sign > 0 else {r: -e for r, e in vec.items()}
+                        bucket = buckets.get(after)
+                        if bucket is None:
+                            buckets[after] = [new]
+                            heappush(heap, -after)
+                        else:
+                            bucket.append(new)
+                        continue
+                    for r, e in vec.items():
+                        e = old.get(r, 0) + sign * e
+                        if e:
+                            old[r] = e
+                        else:
+                            del old[r]
         self.steps += steps
         return done
 
     def __call__(self, p: Poly) -> Poly:
         out: dict[Monomial, Fraction | int] = {}
         for mono, coeff in p.terms.items():
-            for t in mono:
-                check_pair(t, self.support.n)
             for nf_mono, nf_coeff in self.monomial(mono).items():
                 out[nf_mono] = out.get(nf_mono, 0) + coeff * nf_coeff
         return Poly(out)

@@ -18,7 +18,7 @@ from schubert_git.invariants import (
     projective_window_products_standard,
 )
 from schubert_git.plucker import evaluate, random_schubert_point
-from schubert_git.straightening import SupportRange, is_standard, straighten
+from schubert_git.straightening import Straightener, SupportRange, is_standard, straighten
 from schubert_git.weyl import bruhat_leq, coset_reps
 
 
@@ -270,6 +270,47 @@ def test_kernel_soundness_and_completeness(name):
     index = {m: i for i, m in enumerate(basis.monomials)}
     rows = [{index[mono]: coeff for mono, coeff in nfs[combo].items()} for combo in combos]
     assert linalg.rank(rows) + len(kernel) == len(combos)
+
+
+@pytest.mark.parametrize(
+    "support,d",
+    [
+        (SupportRange.full(8), 2),
+        (SupportRange.full(8), 3),
+        (SupportRange(8, (1, 2), (6, 8)), 3),
+        (SupportRange(10, (1, 3), (7, 10)), 2),
+    ],
+)
+def test_product_normal_forms_match_per_product_straightening(support, d):
+    # Each product straightened on its own, from its whole factor list.
+    gens, nfs = product_normal_forms(support, d)
+    engine = Straightener(support)
+    expected = {
+        combo: engine.monomial([t for idx in combo for t in gens.monomials[idx]])
+        for combo in combinations_with_replacement(range(len(gens)), d)
+    }
+    assert list(nfs) == list(expected)
+    assert nfs == expected
+
+
+def test_one_pass_per_degree_rewrites_less_than_one_pass_per_product():
+    # The degree-3 rows as product_normal_forms builds them: a batch over
+    # all of them rewrites fewer monomials than one pass per row.
+    support = SupportRange.full(8)
+    gens, level = product_normal_forms(support, 2)
+    rows = {
+        combo + (idx,): {mono + gens.monomials[idx]: c for mono, c in nf.items()}
+        for combo, nf in level.items()
+        for idx in range(combo[-1], len(gens))
+    }
+    batch = Straightener(support)
+    out = batch.batch(rows)
+    one_row_steps = 0
+    for key, row in rows.items():
+        single = Straightener(support)
+        assert single.batch({key: row}) == {key: out[key]}
+        one_row_steps += single.steps
+    assert 0 < batch.steps < one_row_steps
 
 
 @pytest.mark.parametrize("n,expected_dim", [(8, 14), (10, 300)])

@@ -229,6 +229,81 @@ def test_straightener_counts_cache_hits_and_misses():
     assert engine.hits + engine.misses == calls
 
 
+def test_monomial_validates_factors_on_a_cache_miss_only(monkeypatch):
+    engine = Straightener(SupportRange.full(6))
+    with pytest.raises(ValueError, match="exceeds n=6"):
+        engine.monomial([(1, 7)])
+    with pytest.raises(ValueError, match="need 1 <= i < j"):
+        engine.monomial([(1, 4), (3, 2)])
+    assert (engine.hits, engine.misses, engine.steps) == (0, 0, 0)
+    p = pmono([(2, 5), (3, 4)])
+    nf = engine(p)
+
+    def refuse(pair, n=None):
+        raise ValueError(f"checked {pair}")
+
+    # Hits are answered without validating again; a miss still validates.
+    monkeypatch.setattr(straightening, "check_pair", refuse)
+    assert engine(p) == nf == Poly(engine.monomial([(3, 4), (2, 5)]))
+    assert (engine.hits, engine.misses) == (2, 1)
+    with pytest.raises(ValueError, match="checked"):
+        engine.monomial([(2, 3), (1, 7)])
+
+
+def _random_rows(rng: random.Random, support: SupportRange) -> dict[int, dict]:
+    """Rows of one batch.  Starting monomials repeat across rows (in any
+    factor order), some factors lie outside the window, some coefficients
+    are fractions, and the last two rows cancel to zero: one before any
+    rewrite and one only among the standard monomials it reaches."""
+    window = support.variables()
+    shared = [
+        [
+            rng.choice(window) if rng.random() < 0.85 else random_pair(rng, support.n)
+            for _ in range(rng.randint(1, 6))
+        ]
+        for _ in range(4)
+    ]
+    coefficients = [-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
+    rows: dict[int, dict] = {}
+    for r in range(rng.randint(1, 5)):
+        row: dict = {}
+        for _ in range(rng.randint(1, 3)):
+            factors = rng.choice(shared)[:]
+            rng.shuffle(factors)
+            factors = tuple(factors)
+            row[factors] = row.get(factors, 0) + rng.choice(coefficients)
+        rows[r] = row
+    # start minus itself in another factor order, and minus its normal form
+    start = tuple(rng.choice(shared))
+    for equal in ({start[::-1]: 1}, Straightener(support).monomial(start)):
+        row = {start: 1}
+        for factors, c in equal.items():
+            row[factors] = row.get(factors, 0) - c
+        rows[len(rows)] = row
+    return rows
+
+
+def test_batch_matches_one_row_passes_and_reference_on_random_windows():
+    rng = random.Random(7411)
+    for _ in range(300):
+        support = _random_window(rng, rng.randint(4, 12))
+        rows = _random_rows(rng, support)
+        engine = Straightener(support)
+        out = engine.batch(rows)
+        assert list(out) == list(rows)
+        one_row_steps = 0
+        for r, row in rows.items():
+            single = Straightener(support)
+            assert single.batch({r: row}) == {r: out[r]}
+            one_row_steps += single.steps
+            p = sum((pmono(f, c) for f, c in row.items()), Poly.zero())
+            assert Poly(out[r]) == reference_straighten(p, support), (support, row)
+            assert all(out[r].values())
+        assert not out[len(rows) - 1] and not out[len(rows) - 2]
+        assert engine.steps <= one_row_steps
+        assert (engine.hits, engine.misses) == (0, 0)
+
+
 def test_straighteners_on_different_windows_share_nothing():
     full = Straightener(SupportRange.full(6))
     lower = Straightener(SupportRange(6, (1, 3), (5, 6)))
