@@ -254,25 +254,8 @@ def cmd_confluence(args) -> int:
     from .formal import format_formal
     from .poly import Poly
 
-    # Every state of the nesting system is a perfect matching, and the
-    # side-by-side probe reaches all (symbols-1)!! of them, so a symbol
-    # count over the state cap is refused before any work.  The product
-    # stops once past the cap; a partial product is reported as a bound.
-    symbols, cap = args.symbols, rewriting.STATE_CAP
-    if symbols % 2 == 0:
-        factors = range(symbols - 1, 1, -2)
-        states = 1
-        for done, factor in enumerate(factors, 1):
-            states *= factor
-            if states > cap:
-                relation = "=" if done == len(factors) else ">"
-                raise ValueError(
-                    f"confluence on {symbols} symbols would explore "
-                    f"({symbols}-1)!! {relation} {states} states, "
-                    f"above the cap of {cap}"
-                )
-    probes = rewriting.matching_probes(symbols)
-    system = rewriting.nesting_reduction_system(symbols)
+    probes = rewriting.matching_probes(args.symbols)
+    system = rewriting.nesting_reduction_system(args.symbols)
     report = rewriting.confluence_check(system, probes)
     payload = {
         "symbols": args.symbols,

@@ -5,12 +5,11 @@ Grammar (whitespace insensitive)::
     expr     := ['-'] term (('+' | '-') term)*
     term     := factor ('*' factor)*
     factor   := atom ('^' posint)?
-    atom     := rational | 'p[' int ',' int ']' | 'x_' int | '(' expr ')'
+    atom     := rational | 'p[' int ',' int ']' | '(' expr ')'
     rational := int ('/' int)?
 
-Parsing returns a small AST; lowering turns it into a Pluecker polynomial
-(``p`` variables) or a formal polynomial (``x`` variables).  Printing
-emits a string that reparses to the identical AST.
+Parsing returns a small AST; lowering turns it into a Pluecker polynomial.
+Printing emits a string that reparses to the identical AST.
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ class PVar:
 
 
 @dataclass(frozen=True)
-class XVar:
-    k: int
-
-
-@dataclass(frozen=True)
 class Pow:
     base: "Node"
     exponent: int
@@ -62,7 +56,7 @@ class Sum:
     parts: tuple[tuple[int, "Node"], ...]
 
 
-Node = Union[Lit, PVar, XVar, Pow, Prod, Sum]
+Node = Union[Lit, PVar, Pow, Prod, Sum]
 
 
 class _Parser:
@@ -149,13 +143,6 @@ class _Parser:
             except ValueError as exc:
                 raise ExprSyntaxError(str(exc), self.pos) from exc
             return PVar(i, j)
-        if ch == "x":
-            self.pos += 1
-            self.take("_")
-            k = self.integer()
-            if k < 1:
-                raise self.error("generator index must be positive")
-            return XVar(k)
         if ch.isdigit():
             num = self.integer()
             if self.peek() == "/":
@@ -165,7 +152,7 @@ class _Parser:
                     raise self.error("zero denominator")
                 return Lit(Fraction(num, den))
             return Lit(Fraction(num))
-        raise self.error("expected a rational, p[i,j], x_k, or '('")
+        raise self.error("expected a rational, p[i,j], or '('")
 
 
 def parse_expr(text: str, n: int | None = None) -> Node:
@@ -191,11 +178,9 @@ def format_expr(node: Node) -> str:
         return str(node.value)
     if isinstance(node, PVar):
         return f"p[{node.i},{node.j}]"
-    if isinstance(node, XVar):
-        return f"x_{node.k}"
     if isinstance(node, Pow):
         base = format_expr(node.base)
-        if not isinstance(node.base, (Lit, PVar, XVar)):
+        if not isinstance(node.base, (Lit, PVar)):
             base = f"({base})"
         return f"{base}^{node.exponent}"
     if isinstance(node, Prod):
@@ -220,49 +205,31 @@ def format_expr(node: Node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _merge_kind(a: str, b: str) -> str:
-    if a == "constant":
-        return b
-    if b == "constant" or a == b:
-        return a
-    raise ValueError("expression mixes p[i,j] and x_k variables")
-
-
-def lower(node: Node) -> tuple[Poly, str]:
-    """Lower an AST to a polynomial; returns (poly, kind) with kind one of
-    "plucker", "formal", or "constant".  Mixing variable kinds is an
-    error."""
+def lower(node: Node) -> Poly:
+    """Lower an AST to a Pluecker polynomial."""
     if isinstance(node, Lit):
-        return Poly.const(node.value), "constant"
+        return Poly.const(node.value)
     if isinstance(node, PVar):
-        return Poly.variable((node.i, node.j)), "plucker"
-    if isinstance(node, XVar):
-        return Poly.variable(("x", node.k)), "formal"
+        return Poly.variable((node.i, node.j))
     if isinstance(node, Pow):
-        base, kind = lower(node.base)
-        return base**node.exponent, kind
+        return lower(node.base) ** node.exponent
     if isinstance(node, Prod):
-        poly, kind = Poly.const(1), "constant"
+        poly = Poly.const(1)
         for factor in node.factors:
-            fpoly, fkind = lower(factor)
-            kind = _merge_kind(kind, fkind)
-            poly = poly * fpoly
-        return poly, kind
+            poly = poly * lower(factor)
+        return poly
     if isinstance(node, Sum):
-        poly, kind = Poly.zero(), "constant"
+        poly = Poly.zero()
         for sign, part in node.parts:
-            ppoly, pkind = lower(part)
-            kind = _merge_kind(kind, pkind)
+            ppoly = lower(part)
             poly = poly + (ppoly if sign > 0 else -ppoly)
-        return poly, kind
+        return poly
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def lower_plucker(node: Node, n: int) -> Poly:
     """Lower to a Pluecker polynomial, validating indices against n."""
-    poly, kind = lower(node)
-    if kind == "formal":
-        raise ValueError("expected p[i,j] variables, found x_k")
+    poly = lower(node)
     for mono in poly.terms:
         for pair in mono:
             check_pair(pair, n)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .plucker import PlaneMatrix, evaluate, pmono, vanishing_pattern
 from .poly import Monomial
@@ -26,6 +27,11 @@ from .weyl import (
     full_permutation,
     stability_status,
 )
+
+# The scan materialises all C(n, n/2) cosets before any test: at n = 22,
+# 705,432 of them, it takes about 4 s and 215 MB, and each step of n
+# multiplies both by about four.  Larger scans are refused up front.
+MAX_CANDIDATE_COSETS = 10**6
 
 _PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -161,10 +167,18 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
     up to sign, xi's own minor on the preimage rows: each call computes
     xi's n(n-1)/2 minors once and keeps the set of pairs where they vanish,
     and a coset is a member iff every outside pair maps into that set.
+    More than :data:`MAX_CANDIDATE_COSETS` cosets are refused before any
+    is enumerated.
     """
     check_pair(w, n)
     if stability_status(w, n, n // 2) == Stability.NO_SEMISTABLE:
         raise ValueError(f"X{w} admits no semistable points for n={n}")
+    cosets = comb(n, n // 2)
+    if cosets > MAX_CANDIDATE_COSETS:
+        raise ValueError(
+            f"the candidate scan for n={n} would enumerate C({n}, {n // 2}) = "
+            f"{cosets} cosets, above the cap of {MAX_CANDIDATE_COSETS}"
+        )
     xi = xi_point(n, seed)
     outside = [t for t in coset_reps(n, 2) if not bruhat_leq(t, w)]
     members = coset_reps(n, n // 2)

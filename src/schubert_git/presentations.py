@@ -51,30 +51,33 @@ class SuiteReport:
         return [r for r in self.records if not r.ok]
 
 
-def _check_one(
-    case_name: str, identity: Identity, straightener: Straightener
-) -> IdentityRecord:
-    lhs_nf = straightener(identity.lhs)
-    rhs_nf = straightener(identity.rhs)
-    agree = lhs_nf == rhs_nf
-    lhs_text = format_plucker(lhs_nf)
-    return IdentityRecord(
-        case=case_name,
-        relation_label=identity.label,
-        status="pass" if agree else "fail",
-        lhs_normal_form=lhs_text,
-        # Equal normal forms print alike: a passing record prints one.
-        rhs_normal_form=lhs_text if agree else format_plucker(rhs_nf),
-    )
-
-
 def _run_checks(
     case_name: str, identities: Iterable[Identity], support: SupportRange
 ) -> SuiteReport:
-    # One engine per suite: identities share many monomials (one
-    # identity's right side is often the next one's left side).
-    straightener = Straightener(support)
-    records = [_check_one(case_name, ident, straightener) for ident in identities]
+    # One batch per suite: identities share many monomials (one identity's
+    # right side is often the next one's left side), and the batch rewrites
+    # each distinct monomial once for every side it occurs in.
+    identities = list(identities)
+    rows: dict[tuple[int, str], dict] = {}
+    for k, identity in enumerate(identities):
+        rows[k, "lhs"] = identity.lhs.terms
+        rows[k, "rhs"] = identity.rhs.terms
+    normal_forms = Straightener(support).batch(rows)
+    records = []
+    for k, identity in enumerate(identities):
+        lhs_nf, rhs_nf = normal_forms[k, "lhs"], normal_forms[k, "rhs"]
+        agree = lhs_nf == rhs_nf
+        lhs_text = format_plucker(Poly(lhs_nf))
+        records.append(
+            IdentityRecord(
+                case=case_name,
+                relation_label=identity.label,
+                status="pass" if agree else "fail",
+                lhs_normal_form=lhs_text,
+                # Equal normal forms print alike: a passing record prints one.
+                rhs_normal_form=lhs_text if agree else format_plucker(Poly(rhs_nf)),
+            )
+        )
     return SuiteReport(case_name, tuple(records))
 
 

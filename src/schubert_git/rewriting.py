@@ -183,9 +183,27 @@ def nesting_reduction_system(symbols: int) -> ReductionSystem:
 
 def matching_probes(symbols: int) -> list[Monomial]:
     """All degree-(symbols/2) products of disjoint pair variables: the
-    perfect matchings of the symbol range."""
+    perfect matchings of the symbol range.
+
+    Every state of the nesting system is a perfect matching, and the
+    side-by-side probe reaches all (symbols-1)!! of them, so a symbol count
+    with more matchings than :data:`STATE_CAP` is refused here, before any
+    probe is built.
+    """
     if symbols % 2:
         raise ValueError(f"need an even symbol count, got {symbols}")
+    # The product stops once past the cap; a partial one is a lower bound.
+    factors = range(symbols - 1, 1, -2)
+    states = 1
+    for done, factor in enumerate(factors, 1):
+        states *= factor
+        if states > STATE_CAP:
+            relation = "=" if done == len(factors) else ">"
+            raise ValueError(
+                f"confluence on {symbols} symbols would explore "
+                f"({symbols}-1)!! {relation} {states} states, "
+                f"above the cap of {STATE_CAP}"
+            )
 
     def matchings(values: tuple[int, ...]) -> list[list[tuple[int, int]]]:
         if not values:

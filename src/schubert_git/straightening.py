@@ -8,25 +8,23 @@ the corresponding Schubert or Richardson variety, and every Pluecker
 polynomial has a unique expansion in that basis, computed here by
 rewriting with the quadratic relations.
 
-One engine, :class:`Straightener`, computes the expansion.  It holds the
-state of one window explicitly: its normal-form cache and its counters of
-rewrite steps, cache hits and misses.  Coefficients are ``int`` inside the
-engine (every rewrite has coefficients +-1), and the returned :class:`Poly`
-keeps the coefficient contract of :mod:`.poly`: ``int`` when integral,
-``Fraction`` otherwise, so an integral input stays on ``int`` throughout.
-Both bounds of the window are pruned as soon as a factor appears, and
-pending monomials are rewritten in decreasing order of a measure that every
-rewrite lowers.  One rewrite pass straightens many rows at once, each row a
-combination of monomials: a pending monomial carries the coefficients of
-every row it occurs in, so each distinct monomial is rewritten once per pass
-for all rows.
+One engine, :class:`Straightener`, computes the expansion, and it has one
+entry point, :meth:`Straightener.batch`: one rewrite pass straightens many
+rows at once, each row a combination of monomials.  A pending monomial
+carries the coefficients of every row it occurs in, so each distinct
+monomial is rewritten once per pass for all rows; that is how related
+polynomials share work, and nothing is cached between passes.  The engine
+holds one window and its count of rewrite steps.  Coefficients are ``int``
+inside the engine when the input's are (every rewrite has coefficients
++-1), so an integral input stays on ``int`` throughout.  Both bounds of the
+window are pruned as soon as a factor appears, and pending monomials are
+rewritten in decreasing order of a measure that every rewrite lowers.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, Mapping, TypeVar
 
@@ -101,17 +99,12 @@ def is_standard(factors: Iterable[Pair], support: SupportRange) -> bool:
 
 
 class Straightener:
-    """Normal forms on one window, with their cache and work counters.
+    """Normal forms on one window, with a count of the rewrite work.
 
-    ``monomial(factors)`` expands one monomial in the standard basis with
-    ``int`` coefficients; calling the engine on a :class:`Poly` returns its
-    normal form as a ``Poly``; ``batch(rows)`` straightens many integer
-    combinations of monomials at once.  Every monomial's normal form
-    computed by ``monomial`` is cached on the instance, so callers that
-    straighten many related polynomials on one window share one engine, and
-    engines on different windows share nothing.  ``steps`` counts rewrites;
-    ``hits`` and ``misses`` count ``monomial`` calls answered from the cache
-    or computed.
+    ``batch(rows)`` is the one entry point: it straightens many integer
+    combinations of monomials in one rewrite pass, and ``steps`` counts the
+    rewrites of every pass made.  Nothing is kept between passes, so to
+    share work, straighten related polynomials as rows of one batch.
 
     The expansion rewrites an incomparable factor pair ``(a,b), (c,d)``
     (``a < c < d < b``) into ``(a,d)(c,b) - (a,c)(d,b)``.  Every rewrite
@@ -121,42 +114,17 @@ class Straightener:
     contributions to it from every row are summed before it is rewritten:
     each distinct monomial is rewritten once per pass for all rows.  An
     entry that cancels to zero is dropped, and a monomial whose vector is
-    empty is not rewritten.  ``monomial`` is a one-row pass.  A factor
-    outside ``[v, w]`` kills its monomial as soon as it appears, at the
-    input and after every rewrite: ``p_t`` lies in the window's ideal for
-    such ``t``, and the normal form is unique.  The rewritten pair is the
-    leftmost bad adjacent one of the lexicographically sorted factors; an
-    adjacent pair is bad exactly when the second entry of the first factor
-    exceeds that of the next.
+    empty is not rewritten.  A factor outside ``[v, w]`` kills its monomial
+    as soon as it appears, at the input and after every rewrite: ``p_t``
+    lies in the window's ideal for such ``t``, and the normal form is
+    unique.  The rewritten pair is the leftmost bad adjacent one of the
+    lexicographically sorted factors; an adjacent pair is bad exactly when
+    the second entry of the first factor exceeds that of the next.
     """
 
     def __init__(self, support: SupportRange) -> None:
         self.support = support
-        self._cache: dict[Monomial, dict[Monomial, int]] = {}
         self.steps = 0
-        self.hits = 0
-        self.misses = 0
-
-    def monomial(self, factors: Iterable[Pair]) -> dict[Monomial, int]:
-        """Standard-basis expansion of one monomial, as ``{chain: int}``.
-
-        The result is the cached dict itself; callers must not modify it.
-        A factor that is not an index pair on ``n`` raises ``ValueError``.
-        """
-        key = monomial(factors)
-        hit = self._cache.get(key)
-        if hit is not None:
-            self.hits += 1
-            return hit
-        n = self.support.n
-        if not all(1 <= i < j <= n for i, j in key):
-            for t in key:  # raises, naming the first bad factor
-                check_pair(t, n)
-        self.misses += 1
-        done = self._pass({key: {0: 1}})
-        result = {mono: vec[0] for mono, vec in done.items()}
-        self._cache[key] = result
-        return result
 
     def batch(
         self, rows: Mapping[Row, Mapping[tuple[Pair, ...], int]]
@@ -169,7 +137,8 @@ class Straightener:
         expansion ``{chain: int}``, with no zero coefficients.  The pass
         only adds and negates coefficients, so ``Fraction`` ones work too.
         A monomial met in several rows, as a start or after a rewrite, is
-        rewritten once for all of them.  Nothing is cached.
+        rewritten once for all of them.  A factor that is not an index pair
+        on ``n`` raises ``ValueError`` before any rewrite.
 
         >>> engine = Straightener(SupportRange.full(6))
         >>> nf = engine.batch({
@@ -280,27 +249,20 @@ class Straightener:
         self.steps += steps
         return done
 
-    def __call__(self, p: Poly) -> Poly:
-        out: dict[Monomial, Fraction | int] = {}
-        for mono, coeff in p.terms.items():
-            for nf_mono, nf_coeff in self.monomial(mono).items():
-                out[nf_mono] = out.get(nf_mono, 0) + coeff * nf_coeff
-        return Poly(out)
-
 
 def straighten(p: Poly, support: SupportRange) -> Poly:
     """Unique expansion of ``p`` in the standard-monomial basis of the
     window; the identity modulo the defining ideal of the restriction.
 
-    A fresh :class:`Straightener` per call; callers straightening many
-    polynomials on one window should hold one engine instead.
+    A one-row :meth:`Straightener.batch` on a fresh engine.  To straighten
+    many polynomials on one window, pass them as rows of one ``batch``.
 
     >>> from .plucker import pmono, format_plucker
     >>> nf = straighten(pmono([(2, 5), (3, 4)]), SupportRange.full(6))
     >>> format_plucker(nf)
     '-p[2,3]*p[4,5] + p[2,4]*p[3,5]'
     """
-    return Straightener(support)(p)
+    return Poly(Straightener(support).batch({0: p.terms})[0])
 
 
 def standard_basis(support: SupportRange, degree: int) -> list[Monomial]:

@@ -10,12 +10,11 @@ from schubert_git.expr import (
     Prod,
     PVar,
     Sum,
-    XVar,
     format_expr,
-    lower,
     lower_plucker,
     parse_expr,
 )
+from schubert_git.cli import main
 from schubert_git.plucker import pmono
 
 
@@ -66,14 +65,14 @@ def test_leading_minus():
     assert poly == pmono([(1, 3)]) - pmono([(1, 2)])
 
 
-def test_lower_formal_and_mixing():
-    poly, kind = lower(parse_expr("x_1*x_2 - x_3^2"))
-    assert kind == "formal"
-    assert ("x", 3) in max(poly.terms)
-    with pytest.raises(ValueError):
-        lower(parse_expr("x_1*p[1,2]"))
-    with pytest.raises(ValueError):
-        lower_plucker(parse_expr("x_1"), 6)
+def test_x_variables_are_a_syntax_error(capsys):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("x_1")
+    assert err.value.position == 0
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("p[1,2]*x_1", 6)
+    assert main(["straighten", "x_1", "--n", "6"]) == 2
+    assert "expected a rational, p[i,j], or '('" in capsys.readouterr().err
 
 
 def _random_ast(rng: random.Random, depth: int):
@@ -81,7 +80,6 @@ def _random_ast(rng: random.Random, depth: int):
         lambda: Lit(Fraction(rng.randint(0, 9))),
         lambda: Lit(Fraction(rng.randint(1, 9), rng.randint(2, 9))),
         lambda: PVar(*sorted(rng.sample(range(1, 9), 2))),
-        lambda: XVar(rng.randint(1, 9)),
     ]
     if depth == 0:
         return rng.choice(atoms)()
@@ -113,8 +111,8 @@ def test_parse_print_round_trip_randomized():
 def test_format_examples():
     ast = Sum(((1, Prod((PVar(1, 2), PVar(3, 4)))), (-1, Lit(Fraction(2)))))
     assert format_expr(ast) == "p[1,2]*p[3,4] - 2"
-    nested = Prod((Lit(Fraction(2)), Sum(((1, XVar(1)), (1, XVar(2))))))
-    assert format_expr(nested) == "2*(x_1 + x_2)"
+    nested = Prod((Lit(Fraction(2)), Sum(((1, PVar(1, 2)), (1, PVar(3, 4))))))
+    assert format_expr(nested) == "2*(p[1,2] + p[3,4])"
     assert parse_expr(format_expr(nested)) == nested
 
 

@@ -148,6 +148,22 @@ def test_singular_candidates_requires_semistability():
         singular_candidates((2, 6), 6)
 
 
+def test_singular_candidates_refuse_oversized_scans_before_enumerating(monkeypatch):
+    class Enumerated(Exception):
+        pass
+
+    def refuse(n, r):
+        raise Enumerated(f"coset_reps({n}, {r})")
+
+    # With enumeration made to raise, a refusal proves none happened.
+    monkeypatch.setattr(git_geometry, "coset_reps", refuse)
+    with pytest.raises(ValueError, match="C\\(24, 12\\) = 2704156 cosets, above the cap of 1000000"):
+        singular_candidates((23, 24), 24)
+    assert comb(22, 11) <= git_geometry.MAX_CANDIDATE_COSETS
+    with pytest.raises(Enumerated):
+        singular_candidates((21, 22), 22)
+
+
 def test_singular_candidates_self_check_fixed_point(monkeypatch):
     monkeypatch.setattr(git_geometry, "_complement", lambda subset, everything: subset)
     with pytest.raises(RuntimeError, match="complementation fixes"):

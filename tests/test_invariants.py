@@ -17,9 +17,12 @@ from schubert_git.invariants import (
     product_normal_forms,
     projective_window_products_standard,
 )
-from schubert_git.plucker import evaluate, random_schubert_point
+from schubert_git.plucker import evaluate, pmono, random_schubert_point
+from schubert_git.poly import Poly
 from schubert_git.straightening import Straightener, SupportRange, is_standard, straighten
 from schubert_git.weyl import bruhat_leq, coset_reps
+
+from reference_straightening import reference_straighten
 
 
 def test_content_examples():
@@ -282,15 +285,17 @@ def test_kernel_soundness_and_completeness(name):
     ],
 )
 def test_product_normal_forms_match_per_product_straightening(support, d):
-    # Each product straightened on its own, from its whole factor list.
+    # Each product straightened on its own, from its whole factor list, by
+    # the independent reference loop.
     gens, nfs = product_normal_forms(support, d)
-    engine = Straightener(support)
     expected = {
-        combo: engine.monomial([t for idx in combo for t in gens.monomials[idx]])
+        combo: reference_straighten(
+            pmono([t for idx in combo for t in gens.monomials[idx]]), support
+        )
         for combo in combinations_with_replacement(range(len(gens)), d)
     }
     assert list(nfs) == list(expected)
-    assert nfs == expected
+    assert {combo: Poly(nf) for combo, nf in nfs.items()} == expected
 
 
 def test_one_pass_per_degree_rewrites_less_than_one_pass_per_product():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from schubert_git.plucker import pmono
 from schubert_git.poly import Poly, monomial
-from schubert_git.straightening import Straightener, SupportRange
+from schubert_git.straightening import SupportRange, straighten
 
 from conftest import random_poly
 
@@ -98,7 +98,7 @@ def test_evaluate_returns_fraction():
 
 
 def test_straightener_keeps_integral_coefficients_int():
-    engine = Straightener(SupportRange.full(6))
-    nf = engine(pmono([(2, 5), (3, 4)], 3) + pmono([(1, 6), (2, 3)], Fraction(-2)))
+    p = pmono([(2, 5), (3, 4)], 3) + pmono([(1, 6), (2, 3)], Fraction(-2))
+    nf = straighten(p, SupportRange.full(6))
     assert nf.terms
     assert all(type(c) is int for c in nf.terms.values())

@@ -221,6 +221,35 @@ def test_passing_record_prints_one_normal_form_for_both_sides(g26_support):
     assert failed.rhs_normal_form != failed.lhs_normal_form
 
 
+@pytest.mark.parametrize(
+    "suite", ["g26", "x68", "x710", (10, 2), (10, 3), (12, 2)], ids=str
+)
+def test_suite_records_print_reference_normal_forms(suite):
+    # Each side straightened on its own by the independent reference loop
+    # prints what the suite's one batch printed for it.
+    from schubert_git.plucker import format_plucker
+
+    from reference_straightening import reference_straighten
+
+    if isinstance(suite, str):
+        case = case_studies.CASES[suite]
+        support = SupportRange(case.n, case.v, case.w)
+        identities = list(case.identities) + case_studies.case_kernel_identities(case)
+        report = case_suite(suite)
+    else:
+        n, k = suite
+        support = SupportRange(n, (1, k + 1), (n // 2 + 2, n))
+        identities = case_studies.toric_identities(n, k)
+        report = toric_suite(n, k)
+    assert len(report.records) == len(identities)
+    for record, identity in zip(report.records, identities):
+        assert record.relation_label == identity.label
+        lhs = format_plucker(reference_straighten(identity.lhs, support))
+        rhs = format_plucker(reference_straighten(identity.rhs, support))
+        assert (record.lhs_normal_form, record.rhs_normal_form) == (lhs, rhs)
+        assert record.status == ("pass" if lhs == rhs else "fail")
+
+
 @pytest.mark.parametrize("n", [10, 12, 20])
 def test_toric_identities_match_per_identity_construction(n):
     from itertools import combinations

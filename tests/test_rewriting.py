@@ -173,6 +173,17 @@ def test_nesting_system_ten_symbols():
     assert sum(r.states_explored for r in report.results) == 207_738
 
 
+def test_matching_probes_refuse_more_matchings_than_the_state_cap():
+    # Every state of the nesting system is a perfect matching, so a symbol
+    # count with more than STATE_CAP of them is refused before any probe is
+    # built, with the count (or, once past the cap, a bound) and the cap.
+    assert len(matching_probes(10)) == 945
+    with pytest.raises(ValueError, match=r"\(12-1\)!! = 10395 states, above the cap of 10000"):
+        matching_probes(12)
+    with pytest.raises(ValueError, match=r"\(14-1\)!! > 45045 states"):
+        matching_probes(14)
+
+
 def test_state_cap():
     system = nesting_reduction_system(8)
     with pytest.raises(RewriteGraphLimit):

@@ -212,42 +212,13 @@ def test_engine_matches_reference_on_random_windows():
     assert lower_bounded > 500
 
 
-def test_straightener_counts_cache_hits_and_misses():
-    engine = Straightener(SupportRange.full(6))
-    first = engine.monomial([(2, 5), (3, 4)])
-    assert (engine.hits, engine.misses) == (0, 1)
-    assert engine.steps == 1
-    # Factor order does not matter: the same monomial is a hit.
-    assert engine.monomial([(3, 4), (2, 5)]) is first
-    assert (engine.hits, engine.misses, engine.steps) == (1, 1, 1)
-    assert first == {((2, 4), (3, 5)): 1, ((2, 3), (4, 5)): -1}
-    calls = 2
-    rng = random.Random(8)
-    for _ in range(40):
-        engine.monomial([random_pair(rng, 6) for _ in range(rng.randint(1, 4))])
-        calls += 1
-    assert engine.hits + engine.misses == calls
-
-
-def test_monomial_validates_factors_on_a_cache_miss_only(monkeypatch):
+def test_batch_validates_factors():
     engine = Straightener(SupportRange.full(6))
     with pytest.raises(ValueError, match="exceeds n=6"):
-        engine.monomial([(1, 7)])
+        engine.batch({0: {((1, 7),): 1}})
     with pytest.raises(ValueError, match="need 1 <= i < j"):
-        engine.monomial([(1, 4), (3, 2)])
-    assert (engine.hits, engine.misses, engine.steps) == (0, 0, 0)
-    p = pmono([(2, 5), (3, 4)])
-    nf = engine(p)
-
-    def refuse(pair, n=None):
-        raise ValueError(f"checked {pair}")
-
-    # Hits are answered without validating again; a miss still validates.
-    monkeypatch.setattr(straightening, "check_pair", refuse)
-    assert engine(p) == nf == Poly(engine.monomial([(3, 4), (2, 5)]))
-    assert (engine.hits, engine.misses) == (2, 1)
-    with pytest.raises(ValueError, match="checked"):
-        engine.monomial([(2, 3), (1, 7)])
+        engine.batch({0: {((2, 5),): 1}, 1: {((1, 4), (3, 2)): 1}})
+    assert engine.steps == 0
 
 
 def _random_rows(rng: random.Random, support: SupportRange) -> dict[int, dict]:
@@ -275,7 +246,7 @@ def _random_rows(rng: random.Random, support: SupportRange) -> dict[int, dict]:
         rows[r] = row
     # start minus itself in another factor order, and minus its normal form
     start = tuple(rng.choice(shared))
-    for equal in ({start[::-1]: 1}, Straightener(support).monomial(start)):
+    for equal in ({start[::-1]: 1}, reference_straighten(pmono(start), support).terms):
         row = {start: 1}
         for factors, c in equal.items():
             row[factors] = row.get(factors, 0) - c
@@ -301,27 +272,28 @@ def test_batch_matches_one_row_passes_and_reference_on_random_windows():
             assert all(out[r].values())
         assert not out[len(rows) - 1] and not out[len(rows) - 2]
         assert engine.steps <= one_row_steps
-        assert (engine.hits, engine.misses) == (0, 0)
 
 
 def test_straighteners_on_different_windows_share_nothing():
     full = Straightener(SupportRange.full(6))
     lower = Straightener(SupportRange(6, (1, 3), (5, 6)))
-    mono = [(1, 4), (2, 3)]
-    assert full.monomial(mono) == {((1, 3), (2, 4)): 1, ((1, 2), (3, 4)): -1}
-    assert lower.monomial(mono) == {((1, 3), (2, 4)): 1}
-    assert (lower.hits, lower.misses) == (0, 1)
-    assert full.monomial(mono) != lower.monomial(mono)
+    row = {0: {((1, 4), (2, 3)): 1}}
+    assert full.batch(row) == {0: {((1, 3), (2, 4)): 1, ((1, 2), (3, 4)): -1}}
+    assert lower.batch(row) == {0: {((1, 3), (2, 4)): 1}}
+    assert (full.steps, lower.steps) == (1, 1)
+    # Nothing is kept between passes: the same row is rewritten again.
+    assert full.batch(row) != lower.batch(row)
+    assert (full.steps, lower.steps) == (2, 2)
 
 
 def test_straightener_returns_poly_with_fraction_coefficients():
-    engine = Straightener(SupportRange.full(6))
+    support = SupportRange.full(6)
     p = pmono([(2, 5), (3, 4)], Fraction(1, 2))
-    nf = engine(p)
+    nf = straighten(p, support)
     assert nf == Fraction(1, 2) * (pmono([(2, 4), (3, 5)]) - pmono([(2, 3), (4, 5)]))
     assert all(type(c) is Fraction for c in nf.terms.values())
     with pytest.raises(ValueError):
-        engine(pmono([(1, 7)]))
+        straighten(pmono([(1, 7)]), support)
 
 
 def test_step_ceiling_raises_from_the_engine(monkeypatch):
