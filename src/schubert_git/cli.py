@@ -142,11 +142,22 @@ def cmd_straighten(args) -> int:
     return 0
 
 
+def _refuse_window_flags(args, names: tuple[str, ...], case: str) -> None:
+    """A named case fixes its own window: refuse flags that would be ignored."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(
+            f"{args.command} --case {case} takes its window from the case; "
+            f"drop {', '.join(given)}"
+        )
+
+
 def cmd_relations(args) -> int:
     from .formal import format_formal
     from .invariants import multiplication_kernel
 
     if args.case:
+        _refuse_window_flags(args, ("n", "v", "w"), args.case)
         from .case_studies import CASES
         from .straightening import SupportRange
 
@@ -203,6 +214,7 @@ def cmd_reproduce(args) -> int:
             raise ValueError("case richardson needs --n and --k")
         report = toric_suite(args.n, args.k)
     else:
+        _refuse_window_flags(args, ("n", "k"), args.case)
         report = case_suite(args.case)
     payload = {
         "case": report.case,

@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
-One sparse Gauss–Jordan eliminator serves every rank and kernel in the
-package.  A row is a ``{column: value}`` dict of its nonzero entries (a
-stored zero is dropped on input), and every pivot row is kept fully reduced (leading 1, zeros in all
-other pivot columns), so the reduced row echelon form comes out directly.
-Columns are never permuted: a pivot is always the leftmost nonzero entry of
-its row, so the result is the unique RREF of the row space.  All arithmetic
+One sparse forward eliminator serves every rank and kernel in the package.
+A row is a ``{column: value}`` dict of its nonzero entries (a stored zero
+is dropped on input).  Columns are never permuted: a pivot is always the
+leftmost nonzero entry of its row, scaled to 1.  :func:`rank` stops at this
+echelon form; :func:`left_nullspace` adds one back-substitution sweep, which
+gives the unique reduced row echelon form of the row space.  All arithmetic
 is exact; there is no modular step.  Integral values are held as ``int``
 and only the others as ``Fraction``, since the matrices met here are
 integral and ``int`` arithmetic is many times faster.
@@ -19,6 +19,7 @@ neither result depends on how the columns are numbered.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 Scalar = Fraction | int
@@ -31,17 +32,74 @@ def _exact(x: Scalar) -> Scalar:
     return x.numerator if x.denominator == 1 else x
 
 
-def _rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """Reduced row echelon form of the span of ``rows``, as
-    ``{pivot column: row}``.  The input rows are not modified.
+def _scaled(row: SparseRow, scale: Scalar) -> SparseRow:
+    """``row / scale`` with every integral entry held as an ``int``, so
+    later eliminations with the row stay on ``int`` arithmetic where they
+    can."""
+    if scale == 1:
+        if all(type(v) is int for v in row.values()):
+            return row
+        return {c: _exact(v) for c, v in row.items()}
+    scale = Fraction(scale)
+    return {c: _exact(v / scale) for c, v in row.items()}
 
-    The RREF does not depend on the order rows are taken in, so the
-    sparsest go first: that keeps the fill-in of the pivot rows small.
+
+def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """A row echelon form of the span of ``rows``, as ``{pivot column:
+    row}``: each row's leftmost entry is a 1 in its pivot column, and no two
+    rows share one.  The input rows are not modified.
+
+    A single-entry row is a unit pivot, taken up front, and its column is
+    dropped from every other row with no arithmetic.  The other rows go
+    sparsest first, which keeps fill-in small.  A row is reduced from the
+    left, its columns taken from a heap: each pivot column met is cleared
+    with that pivot's row, which adds only columns to its right, until the
+    leftmost column left is no pivot's, or the row is zero.
     """
-    pivots: dict[int, SparseRow] = {}
-    for source in sorted(rows, key=len):
-        row = {c: v for c, v in source.items() if v}
-        for col in [c for c in row if c in pivots]:
+    sources = sorted(rows, key=len)
+    units = {c for row in sources if len(row) == 1 for c, v in row.items() if v}
+    pivots: dict[int, SparseRow] = {c: {c: 1} for c in units}
+    for source in sources:
+        if len(source) < 2:
+            continue
+        row = {c: v for c, v in source.items() if v and c not in units}
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)
+            factor = row.get(lead)
+            if factor is None:
+                continue
+            pivot = pivots.get(lead)
+            if pivot is None:
+                break
+            for c, v in pivot.items():
+                x = row.get(c)
+                if x is None:
+                    row[c] = -factor * v
+                    heappush(heap, c)
+                else:
+                    x -= factor * v
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+        else:
+            continue
+        pivots[lead] = _scaled(row, row[lead])
+    return pivots
+
+
+def _rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """The reduced row echelon form of the span of ``rows``, as ``{pivot
+    column: row}``: :func:`_echelon`, then one back-substitution sweep in
+    decreasing pivot order, so each pivot row is cleared only with rows that
+    are already reduced.  The RREF is unique, so it does not depend on the
+    order the rows came in."""
+    pivots = _echelon(rows)
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        for col in [c for c in row if c != p and c in pivots]:
             factor = row[col]
             for c, v in pivots[col].items():
                 x = row.get(c, 0) - factor * v
@@ -49,28 +107,13 @@ def _rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
                     row[c] = x
                 else:
                     del row[c]
-        if not row:
-            continue
-        lead = min(row)
-        scale = Fraction(row[lead])
-        if scale != 1:
-            row = {c: _exact(v / scale) for c, v in row.items()}
-        for other in pivots.values():
-            factor = other.get(lead)
-            if factor:
-                for c, v in row.items():
-                    x = other.get(c, 0) - factor * v
-                    if x:
-                        other[c] = x
-                    else:
-                        del other[c]
-        pivots[lead] = row
+        pivots[p] = _scaled(row, 1)
     return pivots
 
 
 def rank(rows: list[SparseRow]) -> int:
     """Exact rank over Q of the matrix with the given sparse rows."""
-    return len(_rref(rows))
+    return len(_echelon(rows))
 
 
 def left_nullspace(rows: list[SparseRow]) -> list[SparseRow]:

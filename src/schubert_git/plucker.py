@@ -28,9 +28,20 @@ def pmono(pairs: Iterable[Pair], coeff: Fraction | int = 1) -> Poly:
     return Poly.from_monomial([check_pair(p) for p in pairs], coeff)
 
 
+class _PairNames(dict):
+    """``p[i,j]`` names by index pair, each built on first use."""
+
+    def __missing__(self, pair: Pair) -> str:
+        name = self[pair] = f"p[{pair[0]},{pair[1]}]"
+        return name
+
+
+_PAIR_NAMES = _PairNames()
+
+
 def format_plucker(p: Poly) -> str:
     """Canonical text form with ``p[i,j]`` variable names."""
-    return p.format(lambda t: f"p[{t[0]},{t[1]}]")
+    return p.format(_PAIR_NAMES.__getitem__)
 
 
 def plucker_relation(i: int, j: int, k: int, l: int) -> Poly:

@@ -167,15 +167,20 @@ class Poly:
         return f"Poly({self.format(str)})"
 
 
+_END = object()  # follows the last token of a monomial; equals no token
+
+
 def _format_monomial(mono: Monomial, token_str: Callable[[Token], str]) -> str:
+    if len(set(mono)) == len(mono):
+        return "*".join(map(token_str, mono))
+    # A sorted monomial holds each repeated token as one run.
     parts: list[str] = []
-    idx = 0
-    while idx < len(mono):
-        run = idx
-        while run < len(mono) and mono[run] == mono[idx]:
-            run += 1
-        exp = run - idx
-        name = token_str(mono[idx])
+    exp = 1
+    for token, after in zip(mono, mono[1:] + (_END,)):
+        if token == after:
+            exp += 1
+            continue
+        name = token_str(token)
         parts.append(name if exp == 1 else f"{name}^{exp}")
-        idx = run
+        exp = 1
     return "*".join(parts)

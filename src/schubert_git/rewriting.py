@@ -2,17 +2,23 @@
 
 A reduction system is a finite list of rules (monomial -> polynomial).
 A rule applies to a term whose monomial is divisible by the rule's left
-side; one step replaces that term accordingly.  The confluence check
-explores every reduction sequence from each probe breadth-first and
-reports the set of normal forms per probe: the system is confluent on the
-probes iff each set is a singleton.  The probes of one check share one
-rewrite graph, so every distinct state is expanded once per call however
-many probes reach it.
+side; one step replaces that term accordingly.  The system builds one
+index, once: each left side, as a sorted monomial, maps to its right sides
+in rule order, and the set of left-side degrees is kept beside it.  The
+rules that apply to a term are found by looking up each distinct
+sub-monomial of the term of a left-side degree, not by trying every rule,
+and each step is one edit of a copy of the state's terms.
+
+The confluence check explores every reduction sequence from each probe
+breadth-first and reports the set of normal forms per probe: the system is
+confluent on the probes iff each set is a singleton.  The probes of one
+check share one rewrite graph, so every distinct state is expanded once per
+call however many probes reach it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .formal import format_formal, ytoken
@@ -29,17 +35,29 @@ class RewriteGraphLimit(RuntimeError):
 @dataclass(frozen=True)
 class ReductionSystem:
     rules: tuple[tuple[Monomial, Poly], ...]
+    # Sorted left side -> right sides in rule order, built once from rules.
+    index: dict[Monomial, tuple[Poly, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    degrees: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        index: dict[Monomial, list[Poly]] = {}
         for lhs, rhs in self.rules:
             if not lhs:
                 raise ValueError("rule left sides must be nonconstant monomials")
+            key = tuple(sorted(lhs))
             for mono in rhs.terms:
-                if _divide(mono, lhs) is not None:
+                if _divide(mono, key) is not None:
                     raise ValueError(
                         f"rule {lhs} -> {format_formal(rhs)} reproduces its "
                         "own left side; trivial loop"
                     )
+            index.setdefault(key, []).append(rhs)
+        object.__setattr__(
+            self, "index", {lhs: tuple(rhss) for lhs, rhss in index.items()}
+        )
+        object.__setattr__(self, "degrees", frozenset(len(lhs) for lhs in index))
 
 
 def _divide(mono: Monomial, divisor: Monomial) -> Monomial | None:
@@ -53,17 +71,44 @@ def _divide(mono: Monomial, divisor: Monomial) -> Monomial | None:
     return tuple(remaining)
 
 
+def _steps(system: ReductionSystem, state: Poly) -> dict[tuple, Poly]:
+    """The one-step successors of ``state``, keyed by :meth:`Poly.key`.
+
+    Each distinct sub-monomial of a term, of a left-side degree, is looked
+    up in the rule index; each right side found gives one successor, built
+    by one edit of a copy of the state's terms.
+    """
+    index = system.index
+    terms = state.terms
+    out: dict[tuple, Poly] = {}
+    for mono, coeff in terms.items():
+        tokens = sorted(mono)  # combinations of sorted tokens are index keys
+        applied: set[Monomial] = set()
+        for size in system.degrees:
+            for lhs in combinations(tokens, size):
+                rhss = index.get(lhs)
+                if rhss is None or lhs in applied:
+                    continue
+                applied.add(lhs)
+                quotient = _divide(mono, lhs)
+                for rhs in rhss:
+                    new = dict(terms)
+                    del new[mono]
+                    for part, c in rhs.terms.items():
+                        product = tuple(sorted(quotient + part))
+                        x = new.get(product, 0) + coeff * c
+                        if x:
+                            new[product] = x
+                        else:
+                            del new[product]
+                    successor = Poly(new)
+                    out[successor.key()] = successor
+    return out
+
+
 def reduce_steps(system: ReductionSystem, state: Poly) -> list[Poly]:
     """All polynomials reachable from ``state`` in one reduction step."""
-    out: dict[tuple, Poly] = {}
-    for mono, coeff in state.terms.items():
-        for lhs, rhs in system.rules:
-            quotient = _divide(mono, lhs)
-            if quotient is None:
-                continue
-            replaced = state - Poly({mono: coeff}) + (rhs * coeff) * Poly({quotient: 1})
-            out[replaced.key()] = replaced
-    return list(out.values())
+    return list(_steps(system, state).values())
 
 
 @dataclass(frozen=True)
@@ -93,13 +138,18 @@ def confluence_check(
 ) -> ConfluenceReport:
     """Explore all reduction sequences from each probe monomial.
 
-    Each probe gets its own cycle-safe breadth-first walk, but the walks
-    share one rewrite graph per call: a state's successors are computed by
-    :func:`reduce_steps` the first time any probe reaches it, and a normal
-    form is formatted once.  Rule order cannot affect the result because
-    every applicable step is taken.  ``states_explored`` counts the states
-    one probe reaches, and :class:`RewriteGraphLimit` is raised when one
-    probe reaches more than ``state_cap`` states.
+    Each probe gets its own cycle-safe breadth-first walk, which takes one
+    whole level at a time as a set of state numbers, but the walks share one
+    rewrite graph per call: a state's successors are computed the first
+    time any probe reaches it, and a normal form is formatted once.
+    The successors of a term come from the system's rule index: each
+    distinct sub-monomial of a left-side degree is looked up once, so the
+    cost of a state does not grow with the number of rules.  Neither rule
+    order nor successor order can affect the result, because every
+    applicable step is taken and the normal forms are sorted.
+    ``states_explored`` counts the states one probe reaches, and
+    :class:`RewriteGraphLimit` is raised when one probe reaches more than
+    ``state_cap`` states; both depend only on the reachable set.
 
     Two rules on the same left side give a critical pair that never joins:
 
@@ -113,10 +163,9 @@ def confluence_check(
     index: dict[tuple, int] = {}  # Poly.key() -> state number
     states: list[Poly] = []
     graph: dict[int, tuple[int, ...]] = {}
-    forms: dict[int, str] = {}
+    forms: dict[int, str] = {}  # normal forms, by state number
 
-    def number(poly: Poly) -> int:
-        key = poly.key()
+    def number(key: tuple, poly: Poly) -> int:
         if key not in index:
             index[key] = len(states)
             states.append(poly)
@@ -124,32 +173,24 @@ def confluence_check(
 
     results = []
     for probe in probes:
-        start = number(Poly({tuple(sorted(probe)): 1}))
-        seen = {start}
-        frontier = [start]
-        normal: list[int] = []
+        first = Poly({tuple(sorted(probe)): 1})
+        seen = {number(first.key(), first)}
+        frontier = seen
+        normal: set[int] = set()
         while frontier:
-            nxt: list[int] = []
-            for state in frontier:
-                successors = graph.get(state)
-                if successors is None:
-                    steps = reduce_steps(system, states[state])
-                    successors = graph[state] = tuple(number(p) for p in steps)
-                if not successors:
-                    normal.append(state)
-                    continue
-                for succ in successors:
-                    if succ not in seen:
-                        if len(seen) >= state_cap:
-                            raise RewriteGraphLimit(
-                                f"more than {state_cap} states from probe {probe}"
-                            )
-                        seen.add(succ)
-                        nxt.append(succ)
-            frontier = nxt
-        for state in normal:
-            if state not in forms:
-                forms[state] = format_formal(states[state])
+            for state in frontier.difference(graph):
+                steps = _steps(system, states[state])
+                graph[state] = tuple(number(key, p) for key, p in steps.items())
+                if not steps:
+                    forms[state] = format_formal(states[state])
+            normal |= frontier.intersection(forms)
+            frontier = set().union(*map(graph.__getitem__, frontier))
+            frontier -= seen
+            seen |= frontier
+            if len(seen) > state_cap:
+                raise RewriteGraphLimit(
+                    f"more than {state_cap} states from probe {probe}"
+                )
         normal_forms = tuple(sorted(forms[state] for state in normal))
         results.append(ProbeResult(tuple(sorted(probe)), normal_forms, len(seen)))
     return ConfluenceReport(tuple(results))

@@ -1,12 +1,13 @@
-"""Test-only reference for the confluence check.
+"""Test-only reference for the rewriting module.
 
-This is the per-probe search the package used before
-:func:`schubert_git.rewriting.confluence_check` shared one rewrite graph
-across the probes of a call: every probe runs its own breadth-first walk
-and calls :func:`schubert_git.rewriting.reduce_steps` on every state it
-visits, so a state reached from several probes is expanded once per probe.
-It returns the same :class:`ConfluenceReport` and raises the same
-:class:`RewriteGraphLimit` past ``state_cap`` states of one probe.
+It shares no search code with :mod:`schubert_git.rewriting`: one step tries
+every rule of the system by multiset division, in rule order, and builds
+each successor with :class:`Poly` arithmetic; every probe runs its own
+breadth-first walk and expands each state it visits, so a state reached
+from several probes is expanded once per probe.  The package's rule index
+and shared rewrite graph must agree with it: the same successor sets, the
+same :class:`ConfluenceReport`, and the same :class:`RewriteGraphLimit` past
+``state_cap`` states of one probe.
 """
 
 from __future__ import annotations
@@ -20,8 +21,31 @@ from schubert_git.rewriting import (
     ProbeResult,
     ReductionSystem,
     RewriteGraphLimit,
-    reduce_steps,
 )
+
+
+def _divide(mono: Monomial, divisor: Monomial) -> Monomial | None:
+    """Multiset quotient mono / divisor, or None when not divisible."""
+    remaining = list(mono)
+    for token in divisor:
+        if token not in remaining:
+            return None
+        remaining.remove(token)
+    return tuple(remaining)
+
+
+def reference_reduce_steps(system: ReductionSystem, state: Poly) -> list[Poly]:
+    """All polynomials one step from ``state``, by trying every rule on
+    every term."""
+    out: dict[tuple, Poly] = {}
+    for mono, coeff in state.terms.items():
+        for lhs, rhs in system.rules:
+            quotient = _divide(mono, lhs)
+            if quotient is None:
+                continue
+            replaced = state - Poly({mono: coeff}) + (rhs * coeff) * Poly({quotient: 1})
+            out[replaced.key()] = replaced
+    return list(out.values())
 
 
 def reference_confluence_check(
@@ -38,7 +62,7 @@ def reference_confluence_check(
         while frontier:
             nxt: list[Poly] = []
             for state in frontier:
-                successors = reduce_steps(system, state)
+                successors = reference_reduce_steps(system, state)
                 if not successors:
                     normal[state.key()] = state
                     continue

@@ -105,6 +105,23 @@ def test_relations_case(capsys):
     assert json.loads(out)["dimension"] == 0
 
 
+def test_named_case_refuses_window_flags(capsys):
+    # A named case fixes its own window, so a window flag beside it would be
+    # ignored: it is refused as a usage error, with the flags named.
+    refused = [
+        (["relations", "--case", "g26", "--n", "8"], "--n"),
+        (["relations", "--case", "x68", "--v", "1,3", "--w", "5,8"], "--v, --w"),
+        (["reproduce", "--case", "g26", "--n", "10", "--k", "3"], "--n, --k"),
+        (["reproduce", "--case", "x710", "--k", "2"], "--k"),
+    ]
+    for argv, flags in refused:
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"takes its window from the case; drop {flags}" in captured.err
+
+
 def test_jacobian(capsys):
     code, out = run_cli(
         capsys, "jacobian", "--case", "g26", "--point", "1,0,0,0,0", "--json"

@@ -99,11 +99,12 @@ def _low_rank_matrices(draw):
 
 
 def _check_kernel(rows, kernel):
-    """``rows`` sparse, ``kernel`` sparse: ``c M = 0``, no stored zeros, and
-    reduced row echelon form."""
+    """``rows`` sparse, ``kernel`` sparse: ``c M = 0``, no stored zeros,
+    integral entries held as ``int``, and reduced row echelon form."""
     for vec in kernel:
         assert all(0 <= r < len(rows) for r in vec)
         assert all(type(x) in (int, Fraction) and x != 0 for x in vec.values())
+        assert all(type(x) is int or x.denominator != 1 for x in vec.values())
         product = {}
         for r, x in vec.items():
             for c, y in rows[r].items():

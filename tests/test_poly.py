@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import groupby
 
 from hypothesis import given, settings, strategies as st
 
-from schubert_git.plucker import pmono
+from schubert_git.formal import format_formal
+from schubert_git.plucker import format_plucker, pmono
 from schubert_git.poly import Poly, monomial
 from schubert_git.straightening import SupportRange, straighten
 
@@ -61,6 +63,53 @@ def test_format_graded_lex():
     p = y * y - x + Poly.const(2)
     assert p.format(str) == "2 - a + b^2"
     assert Poly.zero().format(str) == "0"
+
+
+def _reference_format(p: Poly, token_str) -> str:
+    """Poly.format written out plainly: graded-lex terms, each monomial as
+    its runs of equal tokens, a run of length e > 1 printed as ``name^e``."""
+    if not p.terms:
+        return "0"
+    text = ""
+    for mono, coeff in sorted(p.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
+        runs = [(token, len(list(run))) for token, run in groupby(mono)]
+        body = "*".join(
+            token_str(token) + ("" if e == 1 else f"^{e}") for token, e in runs
+        )
+        mag = abs(coeff)
+        term = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
+        if not text:
+            text = f"-{term}" if coeff < 0 else term
+        else:
+            text += f" - {term}" if coeff < 0 else f" + {term}"
+    return text
+
+
+def test_format_matches_run_length_reference():
+    rng = random.Random(14)
+    pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 8)]
+    formal = [("x", k) for k in range(1, 12)] + [("y", i, j) for i, j in pairs[:6]]
+    kinds = {"distinct": 0, "repeated": 0}
+    cases = [
+        (pairs, format_plucker, lambda t: f"p[{t[0]},{t[1]}]"),
+        (formal, format_formal, lambda t: f"x_{t[1]}" if t[0] == "x" else f"y[{t[1]},{t[2]}]"),
+    ]
+    for tokens, text, name in cases:
+        for _ in range(200):
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                degree = rng.randint(0, 12)
+                if rng.random() < 0.5:
+                    factors = rng.sample(tokens, min(degree, len(tokens)))
+                else:
+                    factors = rng.choices(tokens[:4], k=degree)
+                mono = monomial(factors)
+                kinds["repeated" if len(set(mono)) < len(mono) else "distinct"] += 1
+                terms[mono] = rng.choice([1, -1, 3, -12, Fraction(2, 3), Fraction(-5, 4)])
+            p = Poly(terms)
+            assert text(p) == _reference_format(p, name)
+    assert min(kinds.values()) > 100, kinds
+    assert format_plucker(pmono([(1, 2), (1, 2), (3, 4)])) == "p[1,2]^2*p[3,4]"
 
 
 def test_integral_coefficients_are_stored_as_int():

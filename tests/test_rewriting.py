@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
-from reference_rewriting import reference_confluence_check
+from reference_rewriting import reference_confluence_check, reference_reduce_steps
 
 from schubert_git.formal import format_formal, ytoken
 from schubert_git.poly import Poly
@@ -14,6 +15,7 @@ from schubert_git.rewriting import (
     matching_probes,
     nested_normal_form,
     nesting_reduction_system,
+    reduce_steps,
 )
 
 
@@ -147,6 +149,89 @@ def test_shared_graph_matches_reference():
         limited += expected[0] == "limit"
     # Both the finished and the refused branch are compared.
     assert 0 < limited < len(cases) - 20
+
+
+def _indexed_system(rng):
+    """A random system that exercises the rule index: left sides of degree
+    1-3 given in any order and with repeated tokens, several rules on one
+    left side, and right sides with Fraction coefficients."""
+    tokens = ["a", "b", "c", "d"]
+    rules = []
+    target = rng.randint(1, 5)
+    while len(rules) < target:
+        if rules and rng.random() < 0.3:
+            lhs = list(rng.choice(rules)[0])
+            rng.shuffle(lhs)
+        else:
+            lhs = rng.choices(tokens, k=rng.randint(1, 3))
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = tuple(sorted(rng.choices(tokens, k=rng.randint(0, 3))))
+            terms[mono] = rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+        rule = (tuple(lhs), Poly(terms))
+        try:
+            ReductionSystem((rule,))
+        except ValueError:  # the right side reproduces the left side
+            continue
+        rules.append(rule)
+    return ReductionSystem(tuple(rules))
+
+
+def _random_state(rng):
+    # Most monomials are sorted, as Poly's own constructors make them; the
+    # others must still be matched as multisets, as the reference does.
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = rng.choices(["a", "b", "c", "d"], k=rng.randint(0, 4))
+        if rng.random() < 0.7:
+            mono.sort()
+        terms[tuple(mono)] = rng.choice([1, -2, 3, Fraction(2, 3)])
+    return Poly(terms)
+
+
+def test_rule_index_matches_all_rules_scan():
+    rng = random.Random(14)
+    seen = {"degree 3": 0, "unsorted": 0, "shared left side": 0, "fraction": 0}
+    outcomes = {"finished": 0, "refused": 0}
+    for _ in range(150):
+        system = _indexed_system(rng)
+        lefts = [tuple(sorted(lhs)) for lhs, _ in system.rules]
+        seen["degree 3"] += any(len(lhs) == 3 for lhs in lefts)
+        seen["unsorted"] += any(tuple(sorted(lhs)) != lhs for lhs, _ in system.rules)
+        seen["shared left side"] += len(set(lefts)) < len(lefts)
+        seen["fraction"] += any(
+            type(c) is Fraction for _, rhs in system.rules for c in rhs.terms.values()
+        )
+        for _ in range(4):
+            state = _random_state(rng)
+            got = reduce_steps(system, state)
+            expected = reference_reduce_steps(system, state)
+            assert len({p.key() for p in got}) == len(got)
+            assert sorted(p.key() for p in got) == sorted(p.key() for p in expected)
+        probes = [
+            tuple(rng.choices(["a", "b", "c", "d"], k=rng.randint(1, 4)))
+            for _ in range(rng.randint(2, 5))
+        ]
+        expected = _outcome(reference_confluence_check, system, probes, 30)
+        assert _outcome(confluence_check, system, probes, 30) == expected
+        outcomes["refused" if expected[0] == "limit" else "finished"] += 1
+    assert all(seen.values()), seen
+    assert all(outcomes.values()), outcomes
+
+
+def test_cyclic_system_refused_by_both():
+    # a -> b*c and b -> a feed each other: a, b*c, a*c, b*c^2, ... never
+    # ends, so both searches refuse it at the cap with the same message.
+    system = ReductionSystem(
+        (
+            (("a",), Poly.from_monomial(["b", "c"])),
+            (("b",), Poly.variable("a")),
+        )
+    )
+    for cap in (3, 10):
+        expected = _outcome(reference_confluence_check, system, [("a",)], cap)
+        assert expected == ("limit", f"more than {cap} states from probe ('a',)")
+        assert _outcome(confluence_check, system, [("a",)], cap) == expected
 
 
 def test_state_cap_is_per_probe():
