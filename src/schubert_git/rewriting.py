@@ -74,9 +74,10 @@ def _divide(mono: Monomial, divisor: Monomial) -> Monomial | None:
 def _steps(system: ReductionSystem, state: Poly) -> dict[tuple, Poly]:
     """The one-step successors of ``state``, keyed by :meth:`Poly.key`.
 
-    Each distinct sub-monomial of a term, of a left-side degree, is looked
-    up in the rule index; each right side found gives one successor, built
-    by one edit of a copy of the state's terms.
+    The sub-monomials of a term of each left-side degree are looked up in
+    the rule index, and each distinct one found is applied once: each of its
+    right sides gives one successor, built by one edit of a copy of the
+    state's terms.
     """
     index = system.index
     terms = state.terms
@@ -142,9 +143,10 @@ def confluence_check(
     whole level at a time as a set of state numbers, but the walks share one
     rewrite graph per call: a state's successors are computed the first
     time any probe reaches it, and a normal form is formatted once.
-    The successors of a term come from the system's rule index: each
-    distinct sub-monomial of a left-side degree is looked up once, so the
-    cost of a state does not grow with the number of rules.  Neither rule
+    The successors of a term come from the system's rule index: its
+    sub-monomials of each left-side degree are looked up, and each distinct
+    one that is a left side is applied once, so the cost of a state does not
+    grow with the number of rules.  Neither rule
     order nor successor order can affect the result, because every
     applicable step is taken and the normal forms are sorted.
     ``states_explored`` counts the states one probe reaches, and
