@@ -121,12 +121,12 @@ def cmd_basis(args) -> int:
 
 
 def cmd_straighten(args) -> int:
-    from .expr import lower_plucker, parse_expr
+    from .expr import parse_expr
     from .plucker import format_plucker
     from .straightening import straighten
 
     support = _support(args)
-    poly = lower_plucker(parse_expr(args.expr, support.n), support.n)
+    poly = parse_expr(args.expr, support.n)
     result = straighten(poly, support)
     _emit(
         args,
@@ -184,12 +184,12 @@ def cmd_relations(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .expr import lower_plucker, parse_expr
+    from .expr import parse_expr
     from .presentations import verify_identity
 
     support = _support(args)
-    lhs = lower_plucker(parse_expr(args.lhs, support.n), support.n)
-    rhs = lower_plucker(parse_expr(args.rhs, support.n), support.n)
+    lhs = parse_expr(args.lhs, support.n)
+    rhs = parse_expr(args.rhs, support.n)
     ok = verify_identity(lhs, rhs, support)
     _emit(
         args,

@@ -1,4 +1,4 @@
-"""Expression parsing and printing for the command line.
+"""Expression parsing for the command line.
 
 Grammar (whitespace insensitive)::
 
@@ -8,18 +8,22 @@ Grammar (whitespace insensitive)::
     atom     := rational | 'p[' int ',' int ']' | '(' expr ')'
     rational := int ('/' int)?
 
-Parsing returns a small AST; lowering turns it into a Pluecker polynomial.
-Printing emits a string that reparses to the identical AST.
+Parsing is evaluation: each rule returns its value as a Pluecker
+polynomial, so the parser's result is a canonical :class:`Poly`.
+A product or power whose degree would exceed :data:`MAX_EXPR_DEGREE`, or a
+power with a larger exponent, is refused before it is multiplied out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .poly import Poly
 from .weyl import check_pair
+
+# Bounds the work of one expression: a power is multiplied out one factor
+# at a time, at a cost quadratic in its degree.
+MAX_EXPR_DEGREE = 1000
 
 
 class ExprSyntaxError(ValueError):
@@ -28,35 +32,8 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class PVar:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple["Node", ...]
-
-
-@dataclass(frozen=True)
-class Sum:
-    # Signed parts: (+1 | -1, node).
-    parts: tuple[tuple[int, "Node"], ...]
-
-
-Node = Union[Lit, PVar, Pow, Prod, Sum]
+def _degree(poly: Poly) -> int:
+    return max(map(len, poly.terms), default=0)
 
 
 class _Parser:
@@ -67,6 +44,12 @@ class _Parser:
 
     def error(self, message: str) -> ExprSyntaxError:
         return ExprSyntaxError(message, self.pos)
+
+    def check_degree(self, degree: int) -> None:
+        if degree > MAX_EXPR_DEGREE:
+            raise self.error(
+                f"expression of degree {degree} is above the cap of {MAX_EXPR_DEGREE}"
+            )
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -90,41 +73,46 @@ class _Parser:
             raise self.error("expected an integer")
         return int(self.text[start : self.pos])
 
-    def expr(self) -> Node:
-        parts: list[tuple[int, Node]] = []
-        sign = 1
-        if self.peek() == "-":
+    def expr(self) -> Poly:
+        negate = self.peek() == "-"
+        if negate:
             self.pos += 1
-            sign = -1
-        parts.append((sign, self.term()))
+        value = self.term()
+        if negate:
+            value = -value
         while self.peek() in ("+", "-"):
             op = self.peek()
             self.pos += 1
-            parts.append((1 if op == "+" else -1, self.term()))
-        if len(parts) == 1 and parts[0][0] == 1:
-            return parts[0][1]
-        return Sum(tuple(parts))
+            part = self.term()
+            value = value + part if op == "+" else value - part
+        return value
 
-    def term(self) -> Node:
-        factors = [self.factor()]
+    def term(self) -> Poly:
+        value = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            factors.append(self.factor())
-        if len(factors) == 1:
-            return factors[0]
-        return Prod(tuple(factors))
+            factor = self.factor()
+            self.check_degree(_degree(value) + _degree(factor))
+            value = value * factor
+        return value
 
-    def factor(self) -> Node:
+    def factor(self) -> Poly:
         base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            exponent = self.integer()
-            if exponent < 1:
-                raise self.error("exponent must be a positive integer")
-            return Pow(base, exponent)
-        return base
+        if self.peek() != "^":
+            return base
+        self.pos += 1
+        exponent = self.integer()
+        if exponent < 1:
+            raise self.error("exponent must be a positive integer")
+        self.check_degree(_degree(base) * exponent)
+        # Only a constant base passes with a larger exponent; its value grows.
+        if exponent > MAX_EXPR_DEGREE:
+            raise self.error(
+                f"exponent {exponent} is above the cap of {MAX_EXPR_DEGREE}"
+            )
+        return base**exponent
 
-    def atom(self) -> Node:
+    def atom(self) -> Poly:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
@@ -142,7 +130,7 @@ class _Parser:
                 check_pair((i, j), self.n)
             except ValueError as exc:
                 raise ExprSyntaxError(str(exc), self.pos) from exc
-            return PVar(i, j)
+            return Poly.variable((i, j))
         if ch.isdigit():
             num = self.integer()
             if self.peek() == "/":
@@ -150,87 +138,25 @@ class _Parser:
                 den = self.integer()
                 if den == 0:
                     raise self.error("zero denominator")
-                return Lit(Fraction(num, den))
-            return Lit(Fraction(num))
+                return Poly.const(Fraction(num, den))
+            return Poly.const(num)
         raise self.error("expected a rational, p[i,j], or '('")
 
 
-def parse_expr(text: str, n: int | None = None) -> Node:
-    """Parse an expression; validates p-indices against ``n`` when given.
+def parse_expr(text: str, n: int | None = None) -> Poly:
+    """The polynomial an expression denotes; validates p-indices against
+    ``n`` when given.
 
-    >>> parse_expr("p[1,2]*p[3,4]", 4)
-    Prod(factors=(PVar(i=1, j=2), PVar(i=3, j=4)))
+    >>> from .plucker import format_plucker
+    >>> format_plucker(parse_expr("-(p[1,2] - 2*p[3,4])^2 + 1/2", 4))
+    '1/2 - p[1,2]^2 + 4*p[1,2]*p[3,4] - 4*p[3,4]^2'
     """
     parser = _Parser(text, n)
     try:
-        node = parser.expr()
+        value = parser.expr()
     except RecursionError:
         raise parser.error("expression nested too deeply") from None
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("unexpected trailing input")
-    return node
-
-
-def format_expr(node: Node) -> str:
-    """Print an AST so that parsing the output returns the identical AST."""
-    if isinstance(node, Lit):
-        return str(node.value)
-    if isinstance(node, PVar):
-        return f"p[{node.i},{node.j}]"
-    if isinstance(node, Pow):
-        base = format_expr(node.base)
-        if not isinstance(node.base, (Lit, PVar)):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, Prod):
-        chunks = []
-        for factor in node.factors:
-            text = format_expr(factor)
-            if isinstance(factor, (Sum, Prod)):
-                text = f"({text})"
-            chunks.append(text)
-        return "*".join(chunks)
-    if isinstance(node, Sum):
-        out = ""
-        for idx, (sign, part) in enumerate(node.parts):
-            text = format_expr(part)
-            if isinstance(part, Sum):
-                text = f"({text})"
-            if idx == 0:
-                out = f"-{text}" if sign < 0 else text
-            else:
-                out += f" - {text}" if sign < 0 else f" + {text}"
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def lower(node: Node) -> Poly:
-    """Lower an AST to a Pluecker polynomial."""
-    if isinstance(node, Lit):
-        return Poly.const(node.value)
-    if isinstance(node, PVar):
-        return Poly.variable((node.i, node.j))
-    if isinstance(node, Pow):
-        return lower(node.base) ** node.exponent
-    if isinstance(node, Prod):
-        poly = Poly.const(1)
-        for factor in node.factors:
-            poly = poly * lower(factor)
-        return poly
-    if isinstance(node, Sum):
-        poly = Poly.zero()
-        for sign, part in node.parts:
-            ppoly = lower(part)
-            poly = poly + (ppoly if sign > 0 else -ppoly)
-        return poly
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def lower_plucker(node: Node, n: int) -> Poly:
-    """Lower to a Pluecker polynomial, validating indices against n."""
-    poly = lower(node)
-    for mono in poly.terms:
-        for pair in mono:
-            check_pair(pair, n)
-    return poly
+    return value

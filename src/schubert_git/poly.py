@@ -5,15 +5,19 @@ degree, so repeated tokens encode powers:
 
     ((1, 2), (1, 2), (3, 4))  is  p[1,2]^2 * p[3,4]
 
-A polynomial maps monomials to nonzero exact coefficients: an ``int``
-when the coefficient is integral and a ``Fraction`` otherwise, so the
-integral polynomials met almost everywhere here run on ``int`` arithmetic.
-The token type only needs total ordering and hashability; this package uses
-row-index pairs ``(i, j)`` for Pluecker variables and tuples ``("x", k)``
-or ``("y", i, j)`` for formal generators.
+A polynomial maps monomials to nonzero exact coefficients.  The
+constructor sorts each monomial it is given and sums the coefficients of
+keys that sort alike, so every ``Poly`` is canonical, however its terms
+were spelled.  A coefficient is an ``int`` when it is integral and a
+``Fraction`` otherwise, so the integral polynomials met almost everywhere
+here run on ``int`` arithmetic.  The token type only needs total ordering
+and hashability; this package uses row-index pairs ``(i, j)`` for Pluecker
+variables and tuples ``("x", k)`` or ``("y", i, j)`` for formal generators.
 
 >>> Poly({("a",): Fraction(4, 2)}).terms == {("a",): 2}
 True
+>>> Poly({("b", "a"): 1, ("a", "b"): Fraction(1, 2)}).terms
+{('a', 'b'): Fraction(3, 2)}
 
 >>> x = Poly.variable("a")
 >>> y = Poly.variable("b")
@@ -46,12 +50,17 @@ class Poly:
         canon: dict[Monomial, Fraction | int] = {}
         if terms:
             for mono, coeff in terms.items():
+                mono = tuple(sorted(mono))
+                if mono in canon:
+                    coeff += canon[mono]
                 if type(coeff) is not int:
                     coeff = Fraction(coeff)
                     if coeff.denominator == 1:
                         coeff = coeff.numerator
                 if coeff:
                     canon[mono] = coeff
+                else:
+                    canon.pop(mono, None)
         self.terms = canon
 
     @classmethod
@@ -68,7 +77,7 @@ class Poly:
 
     @classmethod
     def from_monomial(cls, tokens: Iterable[Token], coeff: Fraction | int = 1) -> "Poly":
-        return cls({monomial(tokens): coeff})
+        return cls({tuple(tokens): coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -117,6 +126,8 @@ class Poly:
         out: dict[Monomial, Fraction | int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
+                # Sorted here so that like terms merge in this loop: a power
+                # of a sum makes many, and the constructor would hash each.
                 mono = tuple(sorted(ma + mb))
                 out[mono] = out.get(mono, 0) + ca * cb
         return Poly(out)

@@ -83,10 +83,10 @@ def _steps(system: ReductionSystem, state: Poly) -> dict[tuple, Poly]:
     terms = state.terms
     out: dict[tuple, Poly] = {}
     for mono, coeff in terms.items():
-        tokens = sorted(mono)  # combinations of sorted tokens are index keys
         applied: set[Monomial] = set()
         for size in system.degrees:
-            for lhs in combinations(tokens, size):
+            # mono is sorted, so its combinations are sorted too: index keys.
+            for lhs in combinations(mono, size):
                 rhss = index.get(lhs)
                 if rhss is None or lhs in applied:
                     continue
@@ -96,20 +96,11 @@ def _steps(system: ReductionSystem, state: Poly) -> dict[tuple, Poly]:
                     new = dict(terms)
                     del new[mono]
                     for part, c in rhs.terms.items():
-                        product = tuple(sorted(quotient + part))
-                        x = new.get(product, 0) + coeff * c
-                        if x:
-                            new[product] = x
-                        else:
-                            del new[product]
+                        product = quotient + part  # Poly sorts it
+                        new[product] = new.get(product, 0) + coeff * c
                     successor = Poly(new)
                     out[successor.key()] = successor
     return out
-
-
-def reduce_steps(system: ReductionSystem, state: Poly) -> list[Poly]:
-    """All polynomials reachable from ``state`` in one reduction step."""
-    return list(_steps(system, state).values())
 
 
 @dataclass(frozen=True)
@@ -175,7 +166,7 @@ def confluence_check(
 
     results = []
     for probe in probes:
-        first = Poly({tuple(sorted(probe)): 1})
+        first = Poly({probe: 1})
         seen = {number(first.key(), first)}
         frontier = seen
         normal: set[int] = set()

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from schubert_git import case_studies, cli, straightening
 from schubert_git.cli import main
 from schubert_git.straightening import StraighteningLimit
@@ -74,6 +76,20 @@ def test_verify_pass_and_fail(capsys):
         capsys, "verify", "--n", "6", "--lhs", "p[1,2]", "--rhs", "p[1,3]"
     )
     assert code == 1
+
+
+def test_leading_minus_expression_needs_equals_or_double_dash(capsys):
+    # argparse takes a separate "-p[1,2]" for an option, not a value.
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--n", "4", "--lhs", "-p[1,2]", "--rhs", "0 - p[1,2]"])
+    assert exit_.value.code == 2
+    assert "argument --lhs: expected one argument" in capsys.readouterr().err
+    code, out = run_cli(
+        capsys, "verify", "--n", "4", "--lhs=-p[1,2]", "--rhs", "0 - p[1,2]"
+    )
+    assert (code, out) == (0, "pass\n")
+    code, out = run_cli(capsys, "straighten", "--n", "4", "--", "-p[1,3]*p[2,4]")
+    assert (code, out) == (0, "-p[1,3]*p[2,4]\n")
 
 
 def test_reproduce_g26(capsys):

@@ -44,6 +44,19 @@ def test_monomial_canonicalization():
     assert p.is_zero
 
 
+def test_unsorted_keys_are_canonicalized():
+    spelled = Poly({("b", "a"): 1})
+    assert spelled == Poly.from_monomial(["a", "b"])
+    assert spelled.terms == {("a", "b"): 1}
+    assert spelled.format(str) == "a*b"
+    assert spelled.key() == Poly.from_monomial(["b", "a"]).key()
+    # Keys that sort alike are summed, and a zero sum is dropped.
+    assert Poly({("b", "a"): 1, ("a", "b"): -1}).is_zero
+    mixed = Poly({("b", "a"): Fraction(1, 2), ("c",): 2, ("a", "b"): Fraction(1, 2)})
+    assert mixed.terms == {("a", "b"): 1, ("c",): 2}
+    assert type(mixed.terms[("a", "b")]) is int
+
+
 def test_power_and_degree():
     x = Poly.variable("a")
     y = Poly.variable("b")
