@@ -11,12 +11,15 @@ Grammar (whitespace insensitive)::
 Parsing is evaluation: each rule returns its value as a Pluecker
 polynomial, so the parser's result is a canonical :class:`Poly`.
 A product or power whose degree would exceed :data:`MAX_EXPR_DEGREE`, or a
-power with a larger exponent, is refused before it is multiplied out.
+power with a larger exponent, is refused before it is multiplied out, and
+so is one that would take the expression's estimated work, counted in term
+products, above :data:`MAX_EXPR_WORK`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .poly import Poly
 from .weyl import check_pair
@@ -24,6 +27,12 @@ from .weyl import check_pair
 # Bounds the work of one expression: a power is multiplied out one factor
 # at a time, at a cost quadratic in its degree.
 MAX_EXPR_DEGREE = 1000
+
+# Bounds the work of one expression where the degree cap does not: a power
+# of a sum has few factors but many terms.  Work is counted in term
+# products, len(a.terms) * len(b.terms) per multiplication, summed over
+# the expression; a million of them take about three seconds.
+MAX_EXPR_WORK = 10**6
 
 
 class ExprSyntaxError(ValueError):
@@ -41,6 +50,7 @@ class _Parser:
         self.text = text
         self.n = n
         self.pos = 0
+        self.work = 0
 
     def error(self, message: str) -> ExprSyntaxError:
         return ExprSyntaxError(message, self.pos)
@@ -49,6 +59,14 @@ class _Parser:
         if degree > MAX_EXPR_DEGREE:
             raise self.error(
                 f"expression of degree {degree} is above the cap of {MAX_EXPR_DEGREE}"
+            )
+
+    def charge(self, products: int) -> None:
+        self.work += products
+        if self.work > MAX_EXPR_WORK:
+            raise self.error(
+                f"expression needs an estimated {self.work} term products, "
+                f"above the cap of {MAX_EXPR_WORK}"
             )
 
     def skip_ws(self) -> None:
@@ -93,6 +111,7 @@ class _Parser:
             self.pos += 1
             factor = self.factor()
             self.check_degree(_degree(value) + _degree(factor))
+            self.charge(len(value.terms) * len(factor.terms))
             value = value * factor
         return value
 
@@ -110,6 +129,11 @@ class _Parser:
             raise self.error(
                 f"exponent {exponent} is above the cap of {MAX_EXPR_DEGREE}"
             )
+        # The k-th power of a t-term base has at most C(k+t-1, k) terms, so
+        # multiplying it out after the first factor takes at most
+        # t * (C(e+t-1, t) - 1) term products.
+        terms = len(base.terms)
+        self.charge(terms * (comb(exponent + terms - 1, terms) - 1))
         return base**exponent
 
     def atom(self) -> Poly:

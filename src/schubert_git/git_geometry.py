@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .plucker import PlaneMatrix, evaluate, pmono, vanishing_pattern
@@ -28,9 +29,12 @@ from .weyl import (
     stability_status,
 )
 
-# The scan materialises all C(n, n/2) cosets before any test: at n = 22,
-# 705,432 of them, it takes about 4 s and 215 MB, and each step of n
-# multiplies both by about four.  Larger scans are refused up front.
+# The scan keeps only the member cosets and their pairs.  At n = 22 the
+# full window, all 705,432 cosets, takes about 1.5 s and peaks at 135 MB;
+# the partial window (15, 22), which keeps 2,730 of them, takes about 6 s
+# and peaks at 16 MB (one fresh Python 3.11 process, 2 vCPUs).  Each step
+# of n multiplies the count by about four, so n = 24, with 2,704,156
+# cosets, would need about 0.5 GB.  Larger scans are refused up front.
 MAX_CANDIDATE_COSETS = 10**6
 
 _PRIMES = [
@@ -167,6 +171,15 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
     up to sign, xi's own minor on the preimage rows: each call computes
     xi's n(n-1)/2 minors once and keeps the set of pairs where they vanish,
     and a coset is a member iff every outside pair maps into that set.
+    Cosets are drawn lazily in lexicographic order and filtered as they
+    are generated, so a partial window never holds the cosets it rejects.
+
+    Complementation reverses the lexicographic order of n/2-subsets, so a
+    member tuple closed under it pairs ``members[k]`` with
+    ``members[-1 - k]``: each pair holds two member objects, and no set of
+    members or fresh complement is kept.  The first half of the members is
+    checked against its computed complement, which certifies that the
+    tuple is closed and that no coset is its own complement.
     More than :data:`MAX_CANDIDATE_COSETS` cosets are refused before any
     is enumerated.
     """
@@ -181,7 +194,7 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
         )
     xi = xi_point(n, seed)
     outside = [t for t in coset_reps(n, 2) if not bruhat_leq(t, w)]
-    members = coset_reps(n, n // 2)
+    candidates = combinations(range(1, n + 1), n // 2)
     if outside:
         zero = vanishing_pattern(xi.matrix)
 
@@ -191,21 +204,23 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
                 preimage[image] = row
             return all(sorted_pair(preimage[i], preimage[j]) in zero for i, j in outside)
 
-        members = [subset for subset in members if stays_inside(subset)]
-    member_set = set(members)
+        candidates = filter(stays_inside, candidates)
+    members = tuple(candidates)
     everything = frozenset(range(1, n + 1))
+    last = len(members) - 1
     pairs: list[tuple[Subset, Subset]] = []
-    for subset in members:
+    for k in range(len(members) - len(members) // 2):
+        subset = members[k]
         partner = _complement(subset, everything)
         if partner == subset:
             raise RuntimeError(f"complementation fixes {subset}; pairing broken")
-        if partner not in member_set:
+        mate = members[last - k]
+        if partner != mate:
             raise RuntimeError(
                 f"candidate set is not closed under complementation at {subset}"
             )
-        if subset < partner:
-            pairs.append((subset, partner))
-    return SingularCandidateSet(n, w, tuple(members), tuple(pairs), len(pairs))
+        pairs.append((subset, mate))
+    return SingularCandidateSet(n, w, members, tuple(pairs), len(pairs))
 
 
 def smooth_locus_width(w: Pair, n: int) -> int:

@@ -160,6 +160,21 @@ def test_singular_count(capsys):
     assert out.strip() == "10"
 
 
+@pytest.mark.parametrize(
+    "n,message",
+    [
+        ("2", "error: need even n >= 4, got 2\n"),
+        ("3", "error: weight 1*omega_2 is not in the root lattice for n=3\n"),
+        ("5", "error: weight 2*omega_2 is not in the root lattice for n=5\n"),
+    ],
+)
+def test_singular_count_refuses_small_and_odd_n(capsys, n, message):
+    assert main(["singular-count", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_candidates(capsys):
     code, out = run_cli(capsys, "candidates", "--n", "6", "--json")
     assert code == 0

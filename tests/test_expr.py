@@ -1,11 +1,14 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb, factorial, prod
 
 import pytest
 
+from schubert_git import expr
 from schubert_git.cli import main
-from schubert_git.expr import MAX_EXPR_DEGREE, ExprSyntaxError, parse_expr
+from schubert_git.expr import MAX_EXPR_DEGREE, MAX_EXPR_WORK, ExprSyntaxError, parse_expr
 from schubert_git.plucker import pmono
 from schubert_git.poly import Poly
 
@@ -87,6 +90,51 @@ def test_degree_cap_refuses_runaway_powers_at_once(capsys):
     assert parse_expr(f"0*{top}*{top}", 4).is_zero
     assert main(["straighten", "p[1,2]^80000", "--n", "4"]) == 2
     assert "degree 80000 is above the cap" in capsys.readouterr().err
+
+
+SIX_TERM_SUM = "(p[1,2]+p[1,3]+p[1,4]+p[1,5]+p[1,6]+p[2,3])"
+
+
+def test_work_cap_refuses_powers_of_sums_at_once(capsys):
+    # Degree 60 is far under the degree cap, but the power has C(65, 5)
+    # terms; the estimate 6 * (C(65, 6) - 1) is refused before multiplying.
+    estimate = 6 * (comb(65, 6) - 1)
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(f"{SIX_TERM_SUM}^60", 6)
+    assert time.perf_counter() - start < 1.0
+    assert f"estimated {estimate} term products" in str(err.value)
+    assert f"above the cap of {MAX_EXPR_WORK}" in str(err.value)
+    assert err.value.position == len(SIX_TERM_SUM) + 3
+    # A product is charged len(a.terms) * len(b.terms): 3003^2 here.
+    with pytest.raises(ExprSyntaxError, match=f"estimated {2 * 30024 + 3003**2} "):
+        parse_expr(f"{SIX_TERM_SUM}^10*{SIX_TERM_SUM}^10", 6)
+    assert main(["straighten", f"{SIX_TERM_SUM}^60", "--n", "6"]) == 2
+    assert "term products, above the cap" in capsys.readouterr().err
+
+
+def test_work_is_summed_over_the_expression(monkeypatch):
+    # (p[1,2]+p[1,3])^3 is charged 2 * (C(4, 2) - 1) = 10 term products.
+    monkeypatch.setattr(expr, "MAX_EXPR_WORK", 25)
+    cube = "(p[1,2]+p[1,3])^3"
+    assert parse_expr(f"{cube} + {cube}", 4) == 2 * parse_expr(cube, 4)
+    with pytest.raises(ExprSyntaxError, match="estimated 30 term products"):
+        parse_expr(f"{cube} + {cube} - {cube}", 4)
+
+
+def test_power_of_sum_under_work_cap_is_multinomial():
+    # (x1 + ... + x6)^16: every degree-16 monomial, with its multinomial
+    # coefficient, built here without Poly arithmetic.
+    variables = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3)]
+    expected = Poly(
+        {
+            mono: factorial(16) // prod(factorial(mono.count(v)) for v in set(mono))
+            for mono in combinations_with_replacement(variables, 16)
+        }
+    )
+    value = parse_expr(f"{SIX_TERM_SUM}^16", 6)
+    assert len(value.terms) == comb(21, 5)
+    assert value == expected
 
 
 # A random expression is built as a text and, alongside it with Poly

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -118,6 +119,45 @@ def test_singular_candidates_match_matrix_per_coset_reference(n):
     for seed in range(3):
         for w in semistable:
             assert singular_candidates(w, n, seed) == reference_singular_candidates(w, n, seed)
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_singular_candidates_full_window_above_reference_range(n):
+    result = singular_candidates((n - 1, n), n)
+    assert result.members == tuple(coset_reps(n, n // 2))
+    everything = set(range(1, n + 1))
+    expected = set()
+    for subset in result.members:
+        partner = tuple(sorted(everything - set(subset)))
+        if subset < partner:
+            expected.add((subset, partner))
+    assert set(result.pairs) == expected
+    assert len(result.pairs) == len(expected)
+    assert result.l_size == comb(n, n // 2) // 2
+
+
+def test_pairs_hold_member_objects():
+    for w, n in [((5, 6), 6), ((4, 6), 6), ((9, 10), 10), ((7, 10), 10)]:
+        result = singular_candidates(w, n)
+        member_ids = {id(m) for m in result.members}
+        for a, b in result.pairs:
+            assert id(a) in member_ids and id(b) in member_ids
+
+
+@pytest.mark.parametrize("w", [(15, 16), (12, 16)])
+def test_singular_candidates_peak_memory_near_result_size(w):
+    # The scan keeps only what it returns: no member set, no fresh
+    # complements, and no rejected coset of a partial window.
+    singular_candidates(w, 16)  # warm imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = singular_candidates(w, 16)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.members
+    assert peak - base <= 1.25 * (size - base)
 
 
 def test_pairing_is_fixed_point_free_involution():
