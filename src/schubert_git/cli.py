@@ -101,6 +101,7 @@ def cmd_basis(args) -> int:
 
         gens = invariant_basis(support, args.degree)
         monos, labels = list(gens.monomials), list(gens.labels)
+    texts = [format_plucker(pmono(m)) for m in monos]
     payload = {
         "n": support.n,
         "v": list(support.v),
@@ -109,12 +110,11 @@ def cmd_basis(args) -> int:
         "degree": args.degree,
         "count": len(monos),
         "elements": [
-            {"label": lbl, "monomial": format_plucker(pmono(m))}
-            for lbl, m in zip(labels, monos)
+            {"label": lbl, "monomial": text} for lbl, text in zip(labels, texts)
         ],
     }
     lines = [f"{len(monos)} elements"] + [
-        f"  {lbl} = {format_plucker(pmono(m))}" for lbl, m in zip(labels, monos)
+        f"  {lbl} = {text}" for lbl, text in zip(labels, texts)
     ]
     _emit(args, payload, lines)
     return 0

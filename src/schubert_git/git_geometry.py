@@ -62,6 +62,11 @@ class XiPoint:
         return out
 
 
+def _check_xi_n(n: int) -> None:
+    if n % 2 or n < 4:
+        raise ValueError(f"need even n >= 4, got {n}")
+
+
 def xi_point(n: int, seed: int = 0) -> XiPoint:
     """Seeded generic point of the open cell of X(n/2, n).
 
@@ -70,8 +75,7 @@ def xi_point(n: int, seed: int = 0) -> XiPoint:
     p[k, n/2+k] must all be nonzero) retries with a fresh draw, at most 5
     times.
     """
-    if n % 2 or n < 4:
-        raise ValueError(f"need even n >= 4, got {n}")
+    _check_xi_n(n)
     if 2 * (n - 2) > len(_PRIMES):
         raise ValueError(f"n={n} exceeds the prime pool for free parameters")
     half = n // 2
@@ -166,11 +170,12 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
     Membership is tested exactly: the translate lies in X(w) iff every
     Pluecker coordinate indexed outside the lower interval of w vanishes.
     When no pair is outside, as for the Bruhat maximum w = (n-1, n), every
-    coset is a member and no minor is computed.  Otherwise row i of the
-    translate is row ``perm^-1(i)`` of xi, so its minor on rows (i, j) is,
-    up to sign, xi's own minor on the preimage rows: each call computes
-    xi's n(n-1)/2 minors once and keeps the set of pairs where they vanish,
-    and a coset is a member iff every outside pair maps into that set.
+    coset is a member: xi is not drawn and no minor is computed.  Otherwise
+    row i of the translate is row ``perm^-1(i)`` of xi, so its minor on rows
+    (i, j) is, up to sign, xi's own minor on the preimage rows: each call
+    draws xi, computes its n(n-1)/2 minors once and keeps the set of pairs
+    where they vanish, and a coset is a member iff every outside pair maps
+    into that set.
     Cosets are drawn lazily in lexicographic order and filtered as they
     are generated, so a partial window never holds the cosets it rejects.
 
@@ -192,11 +197,11 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
             f"the candidate scan for n={n} would enumerate C({n}, {n // 2}) = "
             f"{cosets} cosets, above the cap of {MAX_CANDIDATE_COSETS}"
         )
-    xi = xi_point(n, seed)
+    _check_xi_n(n)
     outside = [t for t in coset_reps(n, 2) if not bruhat_leq(t, w)]
     candidates = combinations(range(1, n + 1), n // 2)
     if outside:
-        zero = vanishing_pattern(xi.matrix)
+        zero = vanishing_pattern(xi_point(n, seed).matrix)
 
         def stays_inside(subset: Subset) -> bool:
             preimage = [0] * (n + 1)

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from typing import Callable
 
 from . import case_studies, linalg
-from .poly import Monomial, Poly
+from .poly import Monomial, Poly, monomial
 from .straightening import Straightener, SupportRange
 from .weyl import Pair, check_pair
 
@@ -168,45 +168,72 @@ def hilbert_count(support: SupportRange, d: int) -> int:
 
 def product_normal_forms(
     support: SupportRange, d: int
-) -> tuple[GeneratorSet, dict[tuple[int, ...], dict[Monomial, int]]]:
-    """Straightened d-fold products of the degree-one generators.
+) -> tuple[GeneratorSet, dict[int, linalg.SparseRow]]:
+    """Straightened d-fold products of the degree-one generators, as the
+    sparse rows of the product matrix.
 
-    Returns the generator set and a map from index combinations (0-based,
-    nondecreasing, lexicographic) to normal-form expansions with integer
-    coefficients.  Products are built one factor at a time, so partial
-    products are shared, and each degree is one rewrite pass of
-    :meth:`Straightener.batch`: its rows are the index combinations, each
-    the previous degree's normal form times one more generator, so every
-    distinct monomial of that degree is rewritten once for all rows.
+    Returns the generator set and a map from each row id ``r`` to its
+    ``{column: int}`` row.  Row ``r`` is the product over the ``r``-th
+    nondecreasing combination of 0-based generator indices in lexicographic
+    order, the ``r``-th item of ``combinations_with_replacement(range(g),
+    d)``.  A column is a standard monomial, numbered once after the last
+    rewrite pass in no promised order; neither the rank nor the left kernel
+    depends on that numbering.
+
+    Products are built one factor at a time, so partial products are
+    shared, and each degree is one pass of the rewrite loop behind
+    :meth:`Straightener.batch`.  The pass returns each standard
+    monomial with its ``{row: coeff}`` column vector, and these go straight
+    into the next degree's pending set: the monomial times generator
+    ``idx`` carries the rows whose combination ends at or below ``idx``,
+    each renamed to the row of that combination extended by ``idx``.  No
+    row is ever held as a ``{monomial: coeff}`` dict.
     """
     gens = invariant_basis(support, 1)
+    g = len(gens)
     straightener = Straightener(support)
-    level: dict[tuple[int, ...], dict[Monomial, int]] = {(): {(): 1}}
+    columns: dict[Monomial, dict[int, int]] = {(): {0: 1}}
+    last = [0]  # per row: the last index of its combination, 0 for ()
     for _ in range(d):
-        rows: dict[tuple[int, ...], dict[Monomial, int]] = {}
-        for combo, nf in level.items():
-            for idx in range(combo[-1] if combo else 0, len(gens)):
-                gen = gens.monomials[idx]
-                rows[combo + (idx,)] = {mono + gen: coeff for mono, coeff in nf.items()}
-        level = straightener.batch(rows)
-    return gens, level
+        # The rows extending row r are numbered offset[r] + idx for idx in
+        # range(last[r], g): row by row, they keep lexicographic order.
+        offset: list[int] = []
+        extended: list[int] = []
+        for lo in last:
+            offset.append(len(extended) - lo)
+            extended.extend(range(lo, g))
+        pending: dict[Monomial, dict[int, int]] = {}
+        for mono, vec in columns.items():
+            for idx, gen in enumerate(gens.monomials):
+                new = {offset[r] + idx: c for r, c in vec.items() if last[r] <= idx}
+                if not new:
+                    continue
+                key = monomial(mono + gen)
+                # The row ids from different (mono, idx) are distinct: idx is
+                # part of the row, and mono * gen determines mono.
+                if key in pending:
+                    pending[key].update(new)
+                else:
+                    pending[key] = new
+        columns = straightener._pass(pending)
+        last = extended
+    rows: list[linalg.SparseRow] = [{} for _ in last]
+    # Popping frees each column vector as soon as its entries are in rows.
+    for col in range(len(columns)):
+        _, vec = columns.popitem()
+        for r, coeff in vec.items():
+            rows[r][col] = coeff
+    return gens, dict(enumerate(rows))
 
 
 def _product_matrix(
     support: SupportRange, d: int
-) -> tuple[list[tuple[int, ...]], list[linalg.SparseRow]]:
-    """Index combinations in lexicographic order and the sparse rows of
-    their products' normal forms.  A column is numbered the first time its
-    standard monomial appears; neither the rank nor the left kernel depends
-    on that numbering."""
-    _, nfs = product_normal_forms(support, d)
-    combos = sorted(nfs)
-    index: dict[Monomial, int] = {}
-    rows = [
-        {index.setdefault(mono, len(index)): coeff for mono, coeff in nfs.pop(combo).items()}
-        for combo in combos
-    ]
-    return combos, rows
+) -> tuple[GeneratorSet, list[linalg.SparseRow]]:
+    """The generators and the rows of :func:`product_normal_forms` as the
+    list :mod:`linalg` takes; list index ``r`` is row ``r``, the ``r``-th
+    nondecreasing index combination in lexicographic order."""
+    gens, rows = product_normal_forms(support, d)
+    return gens, list(rows.values())
 
 
 def multiplication_kernel(support: SupportRange, d_target: int) -> list[Poly]:
@@ -219,10 +246,13 @@ def multiplication_kernel(support: SupportRange, d_target: int) -> list[Poly]:
     """
     if d_target not in (2, 3):
         raise ValueError(f"relation degree must be 2 or 3, got {d_target}")
-    combos, rows = _product_matrix(support, d_target)
+    gens, rows = _product_matrix(support, d_target)
     # Each combo is nondecreasing, so its x tokens are already a sorted
     # monomial, and distinct combos give distinct monomials.
-    monomials = [tuple(("x", i + 1) for i in combo) for combo in combos]
+    monomials = [
+        tuple(("x", i + 1) for i in combo)
+        for combo in combinations_with_replacement(range(len(gens)), d_target)
+    ]
     return [
         Poly({monomials[r]: c for r, c in vec.items()})
         for vec in linalg.left_nullspace(rows)

@@ -140,6 +140,12 @@ class Straightener:
         rewritten once for all of them.  A factor that is not an index pair
         on ``n`` raises ``ValueError`` before any rewrite.
 
+        The pass itself works on columns: it returns each standard monomial
+        with its ``{row: coefficient}`` vector, and ``batch`` transposes
+        these into rows.  The product matrix of
+        :func:`~schubert_git.invariants.product_normal_forms` keeps the
+        columns instead and feeds them to the next degree's pass.
+
         >>> engine = Straightener(SupportRange.full(6))
         >>> nf = engine.batch({
         ...     "a": {((3, 4), (2, 5)): 1},
@@ -174,8 +180,9 @@ class Straightener:
     ) -> dict[Monomial, dict[Row, int]]:
         """The one rewrite loop: straighten the sorted monomials in
         ``pending``, each with its ``{row: coefficient}`` vector, and return
-        the standard monomials reached with their nonzero vectors.
-        ``pending`` and its vectors are consumed."""
+        the standard monomials reached with their nonzero vectors, in the
+        order the loop finishes them.  ``pending`` and its vectors are
+        consumed; the factors are trusted to be index pairs on ``n``."""
         (v0, v1), (w0, w1) = self.support.v, self.support.w
         limit = MAX_REWRITE_STEPS
         steps = 0

@@ -111,6 +111,19 @@ def test_singular_candidate_counts_full_grassmannian(n, expected):
     assert result.l_size == comb(n, n // 2) // 2
 
 
+def test_full_window_scan_draws_no_point(monkeypatch):
+    # No pair lies outside the Bruhat maximum, so the scan needs no minor.
+    def drawn(n, seed=0):
+        raise AssertionError(f"xi drawn for n={n}")
+
+    monkeypatch.setattr(git_geometry, "xi_point", drawn)
+    assert singular_candidates((7, 8), 8).l_size == 35
+    with pytest.raises(AssertionError, match="xi drawn"):
+        singular_candidates((6, 8), 8)
+    with pytest.raises(ValueError, match="need even n >= 4, got 2"):
+        singular_candidates((1, 2), 2)
+
+
 @pytest.mark.parametrize("n", range(4, 15, 2))
 def test_singular_candidates_match_matrix_per_coset_reference(n):
     semistable = [

@@ -22,6 +22,7 @@ from schubert_git.poly import Poly
 from schubert_git.straightening import Straightener, SupportRange, is_standard, straighten
 from schubert_git.weyl import bruhat_leq, coset_reps
 
+from reference_products import reference_product_matrix, reference_product_normal_forms
 from reference_straightening import reference_straighten
 
 
@@ -266,13 +267,23 @@ def test_kernel_soundness_and_completeness(name):
         assert straighten(substituted, support).is_zero
         for A in matrices:
             assert evaluate(substituted, A) == 0
-    # Rank-nullity at desk scale.
-    gens, nfs = product_normal_forms(support, d)
-    combos = sorted(nfs)
-    basis = invariant_basis(support, d)
-    index = {m: i for i, m in enumerate(basis.monomials)}
-    rows = [{index[mono]: coeff for mono, coeff in nfs[combo].items()} for combo in combos]
-    assert linalg.rank(rows) + len(kernel) == len(combos)
+    # Rank-nullity at desk scale, with a row per index combination and a
+    # column per invariant standard monomial at most.
+    gens, rows = product_normal_forms(support, d)
+    assert list(rows) == list(range(comb(len(gens) + d - 1, d)))
+    assert len(_column_vectors(rows)) <= hilbert_count(support, d)
+    assert linalg.rank(list(rows.values())) + len(kernel) == len(rows)
+
+
+def _column_vectors(rows) -> list[list[tuple[int, int]]]:
+    """The sorted list of a matrix's column vectors, each as its sorted
+    ``(row, coeff)`` entries: two matrices with the same rows have equal
+    lists exactly when their rows agree up to a renumbering of columns."""
+    columns: dict = {}
+    for r, row in rows.items():
+        for col, coeff in row.items():
+            columns.setdefault(col, []).append((r, coeff))
+    return sorted(sorted(vec) for vec in columns.values())
 
 
 @pytest.mark.parametrize(
@@ -286,23 +297,24 @@ def test_kernel_soundness_and_completeness(name):
 )
 def test_product_normal_forms_match_per_product_straightening(support, d):
     # Each product straightened on its own, from its whole factor list, by
-    # the independent reference loop.
-    gens, nfs = product_normal_forms(support, d)
-    expected = {
-        combo: reference_straighten(
-            pmono([t for idx in combo for t in gens.monomials[idx]]), support
-        )
+    # the independent reference loop.  Row r is the r-th combination, and
+    # its entries are the normal form's coefficients, each in the column of
+    # its monomial; only the numbering of those columns is free.
+    gens, rows = product_normal_forms(support, d)
+    expected = [
+        reference_straighten(pmono([t for idx in combo for t in gens.monomials[idx]]), support)
         for combo in combinations_with_replacement(range(len(gens)), d)
-    }
-    assert list(nfs) == list(expected)
-    assert {combo: Poly(nf) for combo, nf in nfs.items()} == expected
+    ]
+    assert list(rows) == list(range(len(expected)))
+    assert _column_vectors(rows) == _column_vectors(dict(enumerate(nf.terms for nf in expected)))
 
 
 def test_one_pass_per_degree_rewrites_less_than_one_pass_per_product():
-    # The degree-3 rows as product_normal_forms builds them: a batch over
-    # all of them rewrites fewer monomials than one pass per row.
+    # Degree-3 rows, one per index combination, each a degree-2 normal form
+    # times one more generator: a batch over all of them rewrites fewer
+    # monomials than one pass per row.
     support = SupportRange.full(8)
-    gens, level = product_normal_forms(support, 2)
+    gens, level = reference_product_normal_forms(support, 2)
     rows = {
         combo + (idx,): {mono + gens.monomials[idx]: c for mono, c in nf.items()}
         for combo, nf in level.items()
@@ -316,6 +328,37 @@ def test_one_pass_per_degree_rewrites_less_than_one_pass_per_product():
         assert single.batch({key: row}) == {key: out[key]}
         one_row_steps += single.steps
     assert 0 < batch.steps < one_row_steps
+
+
+@pytest.mark.parametrize(
+    "support,d",
+    [
+        (SupportRange(6, (1, 2), (5, 6)), 3),
+        (SupportRange(8, (1, 2), (6, 8)), 2),
+        (SupportRange(8, (1, 2), (6, 8)), 3),
+        (SupportRange(10, (1, 2), (7, 10)), 2),
+        (SupportRange.full(8), 2),
+        (SupportRange.full(8), 3),
+        (SupportRange.full(10), 2),
+    ],
+    ids=["g26-d3", "x68-d2", "x68-d3", "x710-d2", "full8-d2", "full8-d3", "full10-d2"],
+)
+def test_product_matrix_matches_per_combination_build(support, d):
+    # The integer-row build against the per-combination one: the same rows
+    # in the same order up to column numbering, the same rank, and the same
+    # relation kernel, read off the oracle's rows as multiplication_kernel
+    # reads off its own.
+    gens, rows = product_normal_forms(support, d)
+    combos, oracle = reference_product_matrix(support, d)
+    assert combos == list(combinations_with_replacement(range(len(gens)), d))
+    assert list(rows) == list(range(len(combos)))
+    assert _column_vectors(rows) == _column_vectors(dict(enumerate(oracle)))
+    assert linalg.rank(list(rows.values())) == linalg.rank(oracle)
+    monomials = [tuple(("x", i + 1) for i in combo) for combo in combos]
+    expected = [
+        Poly({monomials[r]: c for r, c in vec.items()}) for vec in linalg.left_nullspace(oracle)
+    ]
+    assert multiplication_kernel(support, d) == expected
 
 
 @pytest.mark.parametrize("n,expected_dim", [(8, 14), (10, 300)])
