@@ -14,8 +14,8 @@ from itertools import combinations_with_replacement
 from typing import Callable
 
 from . import case_studies, linalg
-from .poly import Monomial, Poly, monomial
-from .straightening import Straightener, SupportRange
+from .poly import Monomial, Poly
+from .straightening import Coded, Straightener, SupportRange
 from .weyl import Pair, check_pair
 
 
@@ -187,12 +187,16 @@ def product_normal_forms(
     into the next degree's pending set: the monomial times generator
     ``idx`` carries the rows whose combination ends at or below ``idx``,
     each renamed to the row of that combination extended by ``idx``.  No
-    row is ever held as a ``{monomial: coeff}`` dict.
+    row is ever held as a ``{monomial: coeff}`` dict.  The generators are
+    coded once into the pass's integer codes, and the monomials stay coded
+    from degree to degree: the columns are numbered without ever being
+    decoded into index pairs.
     """
     gens = invariant_basis(support, 1)
     g = len(gens)
     straightener = Straightener(support)
-    columns: dict[Monomial, dict[int, int]] = {(): {0: 1}}
+    coded = [straightener._encode(gen) for gen in gens.monomials]
+    columns: dict[Coded, dict[int, int]] = {(): {0: 1}}
     last = [0]  # per row: the last index of its combination, 0 for ()
     for _ in range(d):
         # The rows extending row r are numbered offset[r] + idx for idx in
@@ -202,13 +206,13 @@ def product_normal_forms(
         for lo in last:
             offset.append(len(extended) - lo)
             extended.extend(range(lo, g))
-        pending: dict[Monomial, dict[int, int]] = {}
+        pending: dict[Coded, dict[int, int]] = {}
         for mono, vec in columns.items():
-            for idx, gen in enumerate(gens.monomials):
+            for idx, gen in enumerate(coded):
                 new = {offset[r] + idx: c for r, c in vec.items() if last[r] <= idx}
                 if not new:
                     continue
-                key = monomial(mono + gen)
+                key = tuple(sorted(mono + gen))
                 # The row ids from different (mono, idx) are distinct: idx is
                 # part of the row, and mono * gen determines mono.
                 if key in pending:

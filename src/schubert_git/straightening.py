@@ -19,11 +19,16 @@ inside the engine when the input's are (every rewrite has coefficients
 +-1), so an integral input stays on ``int`` throughout.  Both bounds of the
 window are pruned as soon as a factor appears, and pending monomials are
 rewritten in decreasing order of a measure that every rewrite lowers.
+
+The rewrite loop works on integer codes: a factor ``(i, j)`` is the int
+``i * (n + 1) + j``, which sorts like the pair, and a monomial is the
+sorted tuple of its factors' codes.  ``batch`` checks and codes every
+input factor, and decodes the normal forms back into index pairs at the
+end, so its rows go in and come out as index pairs.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, Mapping, TypeVar
@@ -34,6 +39,7 @@ from .weyl import Pair, bruhat_leq, check_pair, coset_reps
 MAX_REWRITE_STEPS = 10**6
 
 Row = TypeVar("Row", bound=Hashable)
+Coded = tuple[int, ...]  # a monomial as the sorted codes of its factors
 
 
 class StraighteningLimit(RuntimeError):
@@ -120,11 +126,50 @@ class Straightener:
     unique.  The rewritten pair is the leftmost bad adjacent one of the
     lexicographically sorted factors; an adjacent pair is bad exactly when
     the second entry of the first factor exceeds that of the next.
+
+    Inside the pass a factor ``(i, j)`` is the int ``i * (n + 1) + j``,
+    which sorts like the pair, so a monomial is a sorted tuple of ints and
+    hashes as fast as one; the loop reads the entries back as
+    ``code // (n + 1)`` and ``code % (n + 1)``.  The engine keeps tables
+    from each code to its pair and to its measure ``(j - i)^2`` (``None``
+    outside the window), and a dict from each index pair on ``n`` to its
+    code.  Only that dict codes a factor, so a pair that is not an index
+    pair on ``n`` raises ``ValueError`` instead of taking the code of
+    another (``(0, 7)`` and ``(1, 0)`` would both be 7 at ``n = 6``).
+    ``batch`` codes its input and decodes the normal forms it returns.
     """
 
     def __init__(self, support: SupportRange) -> None:
         self.support = support
         self.steps = 0
+        n = support.n
+        (v0, v1), (w0, w1) = support.v, support.w
+        self._base = base = n + 1
+        size = base * base
+        self._pairs: list[Pair | None] = [None] * size
+        self._measures: list[int | None] = [None] * size
+        self._codes: dict[Pair, int] = {}
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                code = i * base + j
+                self._pairs[code] = (i, j)
+                if v0 <= i <= w0 and v1 <= j <= w1:
+                    self._measures[code] = (j - i) ** 2
+                self._codes[i, j] = code
+
+    def _encode(self, factors: Iterable[Pair]) -> Coded:
+        """The sorted codes of a monomial's factors; ``ValueError`` for a
+        factor that is not an index pair on ``n``."""
+        codes = self._codes
+        out = []
+        for t in factors:
+            code = codes.get(t)
+            if code is None:
+                check_pair(t, self.support.n)
+                raise ValueError(f"invalid index pair {t!r}: need integer entries")
+            out.append(code)
+        out.sort()
+        return tuple(out)
 
     def batch(
         self, rows: Mapping[Row, Mapping[tuple[Pair, ...], int]]
@@ -140,11 +185,13 @@ class Straightener:
         rewritten once for all of them.  A factor that is not an index pair
         on ``n`` raises ``ValueError`` before any rewrite.
 
-        The pass itself works on columns: it returns each standard monomial
-        with its ``{row: coefficient}`` vector, and ``batch`` transposes
-        these into rows.  The product matrix of
+        Every factor is checked and coded on the way in, and the pass
+        works on coded monomials only.  It returns each standard monomial
+        with its ``{row: coefficient}`` vector, and ``batch`` pops these one
+        by one, decodes the monomial back into index pairs and spreads the
+        vector into rows.  The product matrix of
         :func:`~schubert_git.invariants.product_normal_forms` keeps the
-        columns instead and feeds them to the next degree's pass.
+        coded columns instead and feeds them to the next degree's pass.
 
         >>> engine = Straightener(SupportRange.full(6))
         >>> nf = engine.batch({
@@ -152,51 +199,56 @@ class Straightener:
         ...     "b": {((2, 5), (3, 4)): 2, ((2, 3), (4, 5)): 2},
         ... })
         >>> nf["a"]
-        {((2, 4), (3, 5)): 1, ((2, 3), (4, 5)): -1}
+        {((2, 3), (4, 5)): -1, ((2, 4), (3, 5)): 1}
         >>> nf["b"]
         {((2, 4), (3, 5)): 2}
         >>> engine.steps
         1
         """
-        pending: dict[Monomial, dict[Row, int]] = {}
+        pending: dict[Coded, dict[Row, int]] = {}
         for row, terms in rows.items():
             for factors, coeff in terms.items():
-                vec = pending.setdefault(monomial(factors), {})
+                vec = pending.setdefault(self._encode(factors), {})
                 coeff += vec.get(row, 0)
                 if coeff:
                     vec[row] = coeff
                 else:
                     vec.pop(row, None)
-        for t in {t for mono in pending for t in mono}:
-            check_pair(t, self.support.n)
+        done = self._pass(pending)
+        pairs = self._pairs
         out: dict[Row, dict[Monomial, int]] = {row: {} for row in rows}
-        for mono, vec in self._pass(pending).items():
+        while done:
+            codes, vec = done.popitem()
+            mono = tuple([pairs[code] for code in codes])
             for row, coeff in vec.items():
                 out[row][mono] = coeff
         return out
 
     def _pass(
-        self, pending: dict[Monomial, dict[Row, int]]
-    ) -> dict[Monomial, dict[Row, int]]:
-        """The one rewrite loop: straighten the sorted monomials in
-        ``pending``, each with its ``{row: coefficient}`` vector, and return
-        the standard monomials reached with their nonzero vectors, in the
-        order the loop finishes them.  ``pending`` and its vectors are
-        consumed; the factors are trusted to be index pairs on ``n``."""
-        (v0, v1), (w0, w1) = self.support.v, self.support.w
+        self, pending: dict[Coded, dict[Row, int]]
+    ) -> dict[Coded, dict[Row, int]]:
+        """The one rewrite loop: straighten the coded monomials in
+        ``pending``, each a sorted tuple of codes with its ``{row:
+        coefficient}`` vector, and return the standard monomials reached
+        with their nonzero vectors, in the order the loop finishes them.
+        ``pending`` and its vectors are consumed."""
+        measures = self._measures
+        base = self._base
+        v1, w0 = self.support.v[1], self.support.w[0]
         limit = MAX_REWRITE_STEPS
         steps = 0
-        done: dict[Monomial, dict[Row, int]] = {}
+        done: dict[Coded, dict[Row, int]] = {}
         # Pending monomials wait in buckets by measure, and the heap holds
         # the distinct measures, negated, so the largest is taken first.
         # Rewrites only lower the measure, so a bucket is taken whole.
-        buckets: dict[int, list[Monomial]] = {}
+        buckets: dict[int, list[Coded]] = {}
         for mono in pending:
             measure = 0
-            for i, j in mono:
-                if not (v0 <= i <= w0 and v1 <= j <= w1):
+            for x in mono:
+                square = measures[x]
+                if square is None:
                     break
-                measure += (j - i) ** 2
+                measure += square
             else:
                 buckets.setdefault(measure, []).append(mono)
         heap = [-measure for measure in buckets]
@@ -207,48 +259,79 @@ class Straightener:
                 vec = pending.pop(mono)
                 if not vec:
                     continue
-                for k in range(len(mono) - 1):
-                    if mono[k][1] > mono[k + 1][1]:
+                # Find the leftmost bad adjacent pair x = (a,b), y = (c,d):
+                # the first factor whose second entry d drops below the
+                # previous one, b.
+                k = -1
+                b = 0
+                for y in mono:
+                    d = y % base
+                    if d < b:
                         break
+                    b = d
+                    k += 1
                 else:
                     done[mono] = vec
                     continue
                 steps += 1
                 if steps > limit:
                     self.steps += steps
+                    chain = tuple(self._pairs[code] for code in mono)
                     raise StraighteningLimit(
-                        f"exceeded {limit} rewrite steps in one pass, at {mono}"
+                        f"exceeded {limit} rewrite steps in one pass, at {chain}"
                     )
-                (a, b), (c, d) = mono[k], mono[k + 1]
-                rest = mono[:k] + mono[k + 2 :]
-                # Against (a,b)(c,d), the measure of (a,d)(c,b) is lower by
-                # 2(c-a)(b-d) and that of (a,c)(d,b) by 2(d-a)(b-c).  The
-                # first keeps every entry in its place, so it stays in the
-                # window; the second makes c a second entry and d a first one.
-                products = [((a, d), (c, b), 1, measure - 2 * (c - a) * (b - d))]
-                if v1 <= c and d <= w0:
-                    drop = 2 * (d - a) * (b - c)
-                    products.append(((a, c), (d, b), -1, measure - drop))
-                for x, y, sign, after in products:
-                    factors = list(rest)
-                    insort(factors, x)
-                    insort(factors, y)
-                    new = tuple(factors)
-                    old = pending.get(new)
-                    if old is None:
-                        # vec is no longer pending, so the first product may
-                        # take it over: the second only reads it, and nothing
-                        # changes it before it is popped again.
-                        pending[new] = vec if sign > 0 else {r: -e for r, e in vec.items()}
-                        bucket = buckets.get(after)
-                        if bucket is None:
-                            buckets[after] = [new]
-                            heappush(heap, -after)
-                        else:
-                            bucket.append(new)
-                        continue
+                x = mono[k]
+                a, c = x // base, y // base
+                # (a,d)(c,b) with sign +1.  Against (a,b)(c,d) its measure
+                # is lower by 2(c-a)(b-d), and it keeps every entry in its
+                # place, so it stays in the window.  It may take vec over:
+                # vec is no longer pending, the second product only reads
+                # it, and nothing changes it before it is popped again.
+                factors = list(mono)
+                factors[k] = a * base + d
+                factors[k + 1] = c * base + b
+                factors.sort()
+                new = tuple(factors)
+                old = pending.get(new)
+                if old is None:
+                    pending[new] = vec
+                    after = measure - 2 * (c - a) * (b - d)
+                    bucket = buckets.get(after)
+                    if bucket is None:
+                        buckets[after] = [new]
+                        heappush(heap, -after)
+                    else:
+                        bucket.append(new)
+                else:
                     for r, e in vec.items():
-                        e = old.get(r, 0) + sign * e
+                        e += old.get(r, 0)
+                        if e:
+                            old[r] = e
+                        else:
+                            del old[r]
+                # (a,c)(d,b) with sign -1, its measure lower by 2(d-a)(b-c).
+                # It makes c a second entry and d a first one, so it stays
+                # in the window iff v1 <= c and d <= w0.
+                if not (v1 <= c and d <= w0):
+                    continue
+                factors = list(mono)
+                factors[k] = a * base + c
+                factors[k + 1] = d * base + b
+                factors.sort()
+                new = tuple(factors)
+                old = pending.get(new)
+                if old is None:
+                    pending[new] = {r: -e for r, e in vec.items()}
+                    after = measure - 2 * (d - a) * (b - c)
+                    bucket = buckets.get(after)
+                    if bucket is None:
+                        buckets[after] = [new]
+                        heappush(heap, -after)
+                    else:
+                        bucket.append(new)
+                else:
+                    for r, e in vec.items():
+                        e = old.get(r, 0) - e
                         if e:
                             old[r] = e
                         else:

@@ -5,7 +5,7 @@ from math import comb, prod
 
 import pytest
 
-from schubert_git import case_studies, linalg
+from schubert_git import case_studies, invariants, linalg
 from schubert_git.case_studies import projective_generator, toric_generator
 from schubert_git.formal import format_formal, substitute
 from schubert_git.invariants import (
@@ -359,6 +359,32 @@ def test_product_matrix_matches_per_combination_build(support, d):
         Poly({monomials[r]: c for r, c in vec.items()}) for vec in linalg.left_nullspace(oracle)
     ]
     assert multiplication_kernel(support, d) == expected
+
+
+@pytest.mark.parametrize(
+    "support,d,steps",
+    [
+        (SupportRange(6, (1, 2), (5, 6)), 3, 30),
+        (SupportRange.full(8), 2, 159),
+        (SupportRange(8, (1, 2), (6, 8)), 3, 373),
+        (SupportRange.full(10), 2, 4237),
+    ],
+    ids=["g26-d3", "full8-d2", "x68-d3", "full10-d2"],
+)
+def test_product_build_rewrite_counts(monkeypatch, support, d, steps):
+    # The build makes one engine, and its rewrite count is pinned:
+    # rewriting another bad pair, or taking the pending monomials in
+    # another order, would in general change it.
+    engines = []
+
+    class Counted(Straightener):
+        def __init__(self, support: SupportRange) -> None:
+            super().__init__(support)
+            engines.append(self)
+
+    monkeypatch.setattr(invariants, "Straightener", Counted)
+    product_normal_forms(support, d)
+    assert [engine.steps for engine in engines] == [steps]
 
 
 @pytest.mark.parametrize("n,expected_dim", [(8, 14), (10, 300)])

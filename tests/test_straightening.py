@@ -218,10 +218,24 @@ def test_batch_validates_factors():
         engine.batch({0: {((1, 7),): 1}})
     with pytest.raises(ValueError, match="need 1 <= i < j"):
         engine.batch({0: {((2, 5),): 1}, 1: {((1, 4), (3, 2)): 1}})
+    # Inside the pass (i, j) is coded as i * (n + 1) + j, which is one to
+    # one on index pairs only: at n = 6, (0, 7) codes like (1, 0) and
+    # (1, 10) like the window pair (2, 3).  A bad factor must raise before
+    # any rewrite, even beside a row that needs one.
+    for bad, message in [
+        ((0, 7), "need 1 <= i < j"),
+        ((2, 2), "need 1 <= i < j"),
+        ((3, 2), "need 1 <= i < j"),
+        ((1, 10), "exceeds n=6"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            engine.batch({0: {((2, 5), (3, 4)): 1}, 1: {((1, 4), bad): 1}})
     assert engine.steps == 0
 
 
-def _random_rows(rng: random.Random, support: SupportRange) -> dict[int, dict]:
+def _random_rows(
+    rng: random.Random, support: SupportRange, max_degree: int = 6
+) -> dict[int, dict]:
     """Rows of one batch.  Starting monomials repeat across rows (in any
     factor order), some factors lie outside the window, some coefficients
     are fractions, and the last two rows cancel to zero: one before any
@@ -230,7 +244,7 @@ def _random_rows(rng: random.Random, support: SupportRange) -> dict[int, dict]:
     shared = [
         [
             rng.choice(window) if rng.random() < 0.85 else random_pair(rng, support.n)
-            for _ in range(rng.randint(1, 6))
+            for _ in range(rng.randint(1, max_degree))
         ]
         for _ in range(4)
     ]
@@ -254,11 +268,13 @@ def _random_rows(rng: random.Random, support: SupportRange) -> dict[int, dict]:
     return rows
 
 
-def test_batch_matches_one_row_passes_and_reference_on_random_windows():
-    rng = random.Random(7411)
-    for _ in range(300):
-        support = _random_window(rng, rng.randint(4, 12))
-        rows = _random_rows(rng, support)
+def _check_random_batches(
+    rng: random.Random, windows: int, n_range: tuple[int, int], max_degree: int
+) -> None:
+    """Each batch against one-row passes and the reference engine."""
+    for _ in range(windows):
+        support = _random_window(rng, rng.randint(*n_range))
+        rows = _random_rows(rng, support, max_degree)
         engine = Straightener(support)
         out = engine.batch(rows)
         assert list(out) == list(rows)
@@ -272,6 +288,16 @@ def test_batch_matches_one_row_passes_and_reference_on_random_windows():
             assert all(out[r].values())
         assert not out[len(rows) - 1] and not out[len(rows) - 2]
         assert engine.steps <= one_row_steps
+
+
+def test_batch_matches_one_row_passes_and_reference_on_random_windows():
+    _check_random_batches(random.Random(7411), 300, (4, 12), 6)
+
+
+def test_batch_matches_reference_on_wide_random_windows():
+    # From n = 16 on, the codes of the pass, i * (n + 1) + j, exceed 255.
+    # Monomials of at most five factors keep the reference engine fast.
+    _check_random_batches(random.Random(7412), 60, (16, 22), 5)
 
 
 def test_straighteners_on_different_windows_share_nothing():
@@ -300,7 +326,9 @@ def test_step_ceiling_raises_from_the_engine(monkeypatch):
     support = SupportRange.full(8)
     p = pmono([(4, 5), (3, 6), (2, 7), (1, 8)])
     monkeypatch.setattr(straightening, "MAX_REWRITE_STEPS", 2)
-    with pytest.raises(StraighteningLimit, match="exceeded 2 rewrite steps"):
+    # The message names the monomial by its index pairs, not its codes.
+    at = r"exceeded 2 rewrite steps in one pass, at \(\(1, 7\), \(2, 6\), \(3, 8\), \(4, 5\)\)$"
+    with pytest.raises(StraighteningLimit, match=at):
         straighten(p, support)
     monkeypatch.setattr(straightening, "MAX_REWRITE_STEPS", 10**6)
     assert not straighten(p, support).is_zero
