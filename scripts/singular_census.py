@@ -12,7 +12,6 @@ from schubert_git.weyl import minimal_elements
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     for n in range(4, args.max_n + 1, 2):
@@ -20,7 +19,7 @@ def main() -> None:
         print(f"n={n}: w_ss_min={w_ss}, w_s_min={w_s}")
         for b1 in range(w_s[0], n):
             w = (b1, n)
-            result = singular_candidates(w, n, seed=args.seed)
+            result = singular_candidates(w, n)
             width = smooth_locus_width(w, n)
             print(
                 f"  X{w}: |K|={len(result.members):4d}  candidates={result.l_size:4d}"

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
 3 internal fault (an exhausted rewrite budget or a failed self-check).
-Every randomized subcommand takes --seed (default 0) and is
-bit-reproducible; --json switches the human-readable text to machine
-records.
+No subcommand draws anything at random: every subcommand accepts --seed
+for compatibility and none reads it.  --json switches the human-readable
+text to machine records.
 
 Each handler imports the modules it calls when it runs, so a process
 loads only what its subcommand needs: ``minimal`` and ``stability`` load
@@ -296,9 +296,7 @@ def cmd_confluence(args) -> int:
 def cmd_singular_count(args) -> int:
     from .git_geometry import singular_candidates
 
-    candidates = singular_candidates(
-        (args.n - 1, args.n), args.n, seed=args.seed
-    )
+    candidates = singular_candidates((args.n - 1, args.n), args.n)
     _emit(
         args,
         {"n": args.n, "count": candidates.l_size},
@@ -311,7 +309,7 @@ def cmd_candidates(args) -> int:
     from .git_geometry import singular_candidates
 
     w = args.w or (args.n - 1, args.n)
-    candidates = singular_candidates(w, args.n, seed=args.seed)
+    candidates = singular_candidates(w, args.n)
     payload = {
         "n": args.n,
         "w": list(w),
@@ -337,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=fn)
         p.add_argument("--json", action="store_true", help="emit JSON records")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized draws")
+        p.add_argument("--seed", type=int, default=0, help="accepted and unused")
         return p
 
     p = add("minimal", cmd_minimal, help="minimal (semi)stable Schubert indices")

@@ -16,24 +16,22 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .plucker import PlaneMatrix, evaluate, pmono, vanishing_pattern
+from .plucker import PlaneMatrix, evaluate, pmono
 from .poly import Monomial
 from .weyl import (
     Pair,
     Subset,
     Stability,
-    bruhat_leq,
     check_pair,
-    coset_reps,
     full_permutation,
     stability_status,
 )
 
 # The scan keeps only the member cosets and their pairs.  At n = 22 the
-# full window, all 705,432 cosets, takes about 1.5 s and peaks at 135 MB;
-# the partial window (15, 22), which keeps 2,730 of them, takes about 6 s
-# and peaks at 16 MB (one fresh Python 3.11 process, 2 vCPUs).  Each step
-# of n multiplies the count by about four, so n = 24, with 2,704,156
+# full window, all 705,432 cosets, takes about 0.6 s and peaks at 134 MB;
+# the partial window (15, 22), which keeps 2,730 of them, takes about
+# 0.1 s and peaks at 15 MB (one fresh Python 3.11 process, 2 vCPUs).  Each
+# step of n multiplies the count by about four, so n = 24, with 2,704,156
 # cosets, would need about 0.5 GB.  Larger scans are refused up front.
 MAX_CANDIDATE_COSETS = 10**6
 
@@ -167,17 +165,20 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
     """Enumerate the middle-parabolic cosets whose translate of xi stays in
     X(w), pair them by complementation, and count the quotient images.
 
-    Membership is tested exactly: the translate lies in X(w) iff every
-    Pluecker coordinate indexed outside the lower interval of w vanishes.
-    When no pair is outside, as for the Bruhat maximum w = (n-1, n), every
-    coset is a member: xi is not drawn and no minor is computed.  Otherwise
-    row i of the translate is row ``perm^-1(i)`` of xi, so its minor on rows
-    (i, j) is, up to sign, xi's own minor on the preimage rows: each call
-    draws xi, computes its n(n-1)/2 minors once and keeps the set of pairs
-    where they vanish, and a coset is a member iff every outside pair maps
-    into that set.
-    Cosets are drawn lazily in lexicographic order and filtered as they
-    are generated, so a partial window never holds the cosets it rejects.
+    Membership is decided by the split rule, which is exact for every
+    choice of xi's free parameters.  The translate of xi by the coset of S
+    has row i equal to (a_i, 0) for i in S and (0, b_i) otherwise, with
+    every a_i and b_i nonzero, so its minor on rows (i, j) is nonzero
+    exactly when one of i, j is in S and the other is not.  The translate
+    lies in X(w) iff every such split pair is Bruhat-below w.  Only windows
+    w = (b, n) with b >= n/2 have semistable points, and the pairs outside
+    their lower interval are the pairs inside {b+1, ..., n}, so S is a
+    member iff it contains all of {b+1, ..., n} or none of it.  No point is
+    drawn and no minor is computed; ``seed`` is accepted for callers that
+    pass one and is not read.  The full window w = (n-1, n) keeps every
+    coset.  Cosets are generated in lexicographic order and filtered as
+    they are generated, so a partial window never holds the cosets it
+    rejects.
 
     Complementation reverses the lexicographic order of n/2-subsets, so a
     member tuple closed under it pairs ``members[k]`` with
@@ -198,18 +199,13 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
             f"{cosets} cosets, above the cap of {MAX_CANDIDATE_COSETS}"
         )
     _check_xi_n(n)
-    outside = [t for t in coset_reps(n, 2) if not bruhat_leq(t, w)]
+    b = w[0]
     candidates = combinations(range(1, n + 1), n // 2)
-    if outside:
-        zero = vanishing_pattern(xi_point(n, seed).matrix)
-
-        def stays_inside(subset: Subset) -> bool:
-            preimage = [0] * (n + 1)
-            for row, image in enumerate(full_permutation(subset, n), 1):
-                preimage[image] = row
-            return all(sorted_pair(preimage[i], preimage[j]) in zero for i, j in outside)
-
-        candidates = filter(stays_inside, candidates)
+    if b < n - 1:
+        # S is sorted: it holds none of the tail iff its last entry is at
+        # most b, and all of it iff it ends with the tail.
+        tail = tuple(range(b + 1, n + 1))
+        candidates = (s for s in candidates if s[-1] <= b or s[b - n :] == tail)
     members = tuple(candidates)
     everything = frozenset(range(1, n + 1))
     last = len(members) - 1

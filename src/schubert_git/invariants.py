@@ -45,11 +45,6 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.monomials)
 
-    def values(self) -> list[Poly]:
-        from .plucker import pmono
-
-        return [pmono(m) for m in self.monomials]
-
 
 def _enumerate_invariant_chains(
     support: SupportRange, d: int, leaf: Callable[[list[Pair]], None]

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from math import comb
 
@@ -18,7 +19,7 @@ from schubert_git.git_geometry import (
     xi_point,
 )
 from schubert_git.invariants import content, invariant_basis
-from schubert_git.plucker import evaluate, pmono
+from schubert_git.plucker import PlaneMatrix, evaluate, pmono
 from schubert_git.straightening import SupportRange, is_standard
 from schubert_git.weyl import Stability, bruhat_leq, coset_reps, stability_status
 
@@ -111,15 +112,21 @@ def test_singular_candidate_counts_full_grassmannian(n, expected):
     assert result.l_size == comb(n, n // 2) // 2
 
 
-def test_full_window_scan_draws_no_point(monkeypatch):
-    # No pair lies outside the Bruhat maximum, so the scan needs no minor.
+def test_no_window_draws_a_point(monkeypatch):
+    # Membership follows from which rows the coset moves, not from a point.
     def drawn(n, seed=0):
         raise AssertionError(f"xi drawn for n={n}")
 
+    def minor(self, i, j):
+        raise AssertionError(f"minor ({i}, {j}) computed")
+
     monkeypatch.setattr(git_geometry, "xi_point", drawn)
-    assert singular_candidates((7, 8), 8).l_size == 35
-    with pytest.raises(AssertionError, match="xi drawn"):
-        singular_candidates((6, 8), 8)
+    monkeypatch.setattr(PlaneMatrix, "minor", minor)
+    result = singular_candidates((6, 8), 8)
+    assert len(result.members) == 30
+    assert result.l_size == 15
+    for b in range(4, 8):
+        singular_candidates((b, 8), 8, seed=b)
     with pytest.raises(ValueError, match="need even n >= 4, got 2"):
         singular_candidates((1, 2), 2)
 
@@ -157,6 +164,26 @@ def test_pairs_hold_member_objects():
             assert id(a) in member_ids and id(b) in member_ids
 
 
+@pytest.mark.parametrize("n", [16, 18])
+def test_singular_candidate_counts_match_closed_form(n):
+    # Members contain all of {b+1, ..., n} or none of it; complementation
+    # swaps the two kinds, so each kind is one member of every pair.
+    half = n // 2
+    for b in range(half, n):
+        result = singular_candidates((b, n), n)
+        assert len(result.members) == comb(b, half) + comb(b, half - (n - b))
+        assert result.l_size == comb(b, half)
+
+
+def _footprint(result):
+    # Bytes of the returned tuples themselves; the small ints they hold
+    # are shared.  Independent of the allocator's free lists.
+    return sum(
+        sys.getsizeof(t)
+        for t in (result.members, result.pairs, *result.members, *result.pairs)
+    )
+
+
 @pytest.mark.parametrize("w", [(15, 16), (12, 16)])
 def test_singular_candidates_peak_memory_near_result_size(w):
     # The scan keeps only what it returns: no member set, no fresh
@@ -166,11 +193,11 @@ def test_singular_candidates_peak_memory_near_result_size(w):
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = singular_candidates(w, 16)
-        size, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.members
-    assert peak - base <= 1.25 * (size - base)
+    assert peak - base <= 1.25 * _footprint(result)
 
 
 def test_pairing_is_fixed_point_free_involution():
@@ -205,16 +232,18 @@ def test_singular_candidates_refuse_oversized_scans_before_enumerating(monkeypat
     class Enumerated(Exception):
         pass
 
-    def refuse(n, r):
-        raise Enumerated(f"coset_reps({n}, {r})")
+    def refuse(items, r):
+        raise Enumerated(f"combinations of {r}")
 
     # With enumeration made to raise, a refusal proves none happened.
-    monkeypatch.setattr(git_geometry, "coset_reps", refuse)
+    monkeypatch.setattr(git_geometry, "combinations", refuse)
     with pytest.raises(ValueError, match="C\\(24, 12\\) = 2704156 cosets, above the cap of 1000000"):
         singular_candidates((23, 24), 24)
     assert comb(22, 11) <= git_geometry.MAX_CANDIDATE_COSETS
     with pytest.raises(Enumerated):
         singular_candidates((21, 22), 22)
+    with pytest.raises(Enumerated):
+        singular_candidates((15, 22), 22)
 
 
 def test_singular_candidates_self_check_fixed_point(monkeypatch):
