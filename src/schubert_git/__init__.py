@@ -51,12 +51,11 @@ _HOMES = {
     "matching_probes": "rewriting",
     "nesting_reduction_system": "rewriting",
     "SingularCandidateSet": "git_geometry",
-    "XiPoint": "git_geometry",
     "singular_candidates": "git_geometry",
+    "singular_count": "git_geometry",
     "smooth_locus_width": "git_geometry",
     "sorted_pair": "git_geometry",
     "witness_monomial": "git_geometry",
-    "xi_point": "git_geometry",
 }
 
 __all__ = [*_HOMES, "__version__"]

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .formal import substitute, x_monomial, xvar, yvar
 from .plucker import pmono
@@ -33,6 +34,8 @@ def _mono(*pairs: Pair) -> Monomial:
     return tuple(sorted(pairs))
 
 
+# A dataclass, unlike the records of the command-line paths, so that
+# callers can derive a variant with ``dataclasses.replace``.
 @dataclass(frozen=True)
 class Identity:
     """A recorded equality of Pluecker polynomials on a window."""
@@ -42,8 +45,7 @@ class Identity:
     rhs: Poly
 
 
-@dataclass(frozen=True)
-class CaseStudy:
+class CaseStudy(NamedTuple):
     name: str
     n: int
     v: Pair

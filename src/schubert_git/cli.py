@@ -294,14 +294,18 @@ def cmd_confluence(args) -> int:
 
 
 def cmd_singular_count(args) -> int:
-    from .git_geometry import singular_candidates
+    from .git_geometry import singular_count
 
-    candidates = singular_candidates((args.n - 1, args.n), args.n)
-    _emit(
-        args,
-        {"n": args.n, "count": candidates.l_size},
-        [str(candidates.l_size)],
-    )
+    count = singular_count(args.n)
+    # The count has about 0.3 n digits: print it whatever its length.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit(args, {"n": args.n, "count": count}, [str(count)])
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

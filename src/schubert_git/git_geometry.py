@@ -1,23 +1,22 @@
-"""Singular-locus machinery for quotients of Schubert varieties.
+"""Singular-locus combinatorics for torus quotients of Schubert varieties.
 
-The distinguished point ``xi`` sits in the open cell of the minimal
-semistable Schubert variety: column one is supported on rows 1..n/2 with
-pivot at n/2, column two on rows n/2+1..n with pivot at n.  Permuting its
-rows by middle-parabolic coset representatives produces every candidate
-singular point of the quotient; the candidates pair up under subset
-complementation and the quotient identifies exactly the members of a pair.
+The candidate singular points of the quotient of X(w) are indexed by the
+middle-parabolic cosets, that is by the n/2-subsets S of {1..n}.  The
+point for S is the translate, by the coset of S, of a generic point of
+the open cell of the minimal semistable Schubert variety X(n/2, n): its
+row i is (a_i, 0) for i in S and (0, b_i) otherwise, with every a_i and
+b_i nonzero.  Which Pluecker coordinates vanish there depends only on
+which rows S holds, so every question below is answered on the subsets
+themselves and no point is drawn.  The candidates pair up under
+complementation, and the quotient identifies exactly the two members of a
+pair: the full Grassmannian has C(n-1, n/2) singular points.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
-from .plucker import PlaneMatrix, evaluate, pmono
-from .poly import Monomial
 from .weyl import (
     Pair,
     Subset,
@@ -28,77 +27,22 @@ from .weyl import (
 )
 
 # The scan keeps only the member cosets and their pairs.  At n = 22 the
-# full window, all 705,432 cosets, takes about 0.6 s and peaks at 134 MB;
+# full window, all 705,432 cosets, takes about 0.5 s and peaks at 130 MB;
 # the partial window (15, 22), which keeps 2,730 of them, takes about
-# 0.1 s and peaks at 15 MB (one fresh Python 3.11 process, 2 vCPUs).  Each
+# 0.11 s and peaks at 14 MB (one fresh Python 3.11 process, 2 vCPUs).  Each
 # step of n multiplies the count by about four, so n = 24, with 2,704,156
-# cosets, would need about 0.5 GB.  Larger scans are refused up front.
+# cosets, would need about 0.5 GB.  Larger scans are refused up front;
+# :func:`singular_count` needs no scan.
 MAX_CANDIDATE_COSETS = 10**6
 
-_PRIMES = [
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
-    233, 239, 241, 251, 257, 263, 269, 271, 277, 281,
-]
 
-
-@dataclass(frozen=True)
-class XiPoint:
-    """The distinguished semistable point and its free parameters."""
-
-    n: int
-    matrix: PlaneMatrix
-    col1_params: tuple[Fraction, ...]
-    col2_params: tuple[Fraction, ...]
-
-    @property
-    def parameter_product(self) -> Fraction:
-        out = Fraction(1)
-        for x in self.col1_params + self.col2_params:
-            out *= x
-        return out
-
-
-def _check_xi_n(n: int) -> None:
+def _check_window(w: Pair, n: int) -> None:
+    """Refuse a window without semistable points, and odd or small n."""
+    check_pair(w, n)
+    if stability_status(w, n, n // 2) == Stability.NO_SEMISTABLE:
+        raise ValueError(f"X{w} admits no semistable points for n={n}")
     if n % 2 or n < 4:
         raise ValueError(f"need even n >= 4, got {n}")
-
-
-def xi_point(n: int, seed: int = 0) -> XiPoint:
-    """Seeded generic point of the open cell of X(n/2, n).
-
-    Free entries are ratios of distinct small primes, so they are nonzero
-    and pairwise distinct.  A genericity self-test (the diagonal minors
-    p[k, n/2+k] must all be nonzero) retries with a fresh draw, at most 5
-    times.
-    """
-    _check_xi_n(n)
-    if 2 * (n - 2) > len(_PRIMES):
-        raise ValueError(f"n={n} exceeds the prime pool for free parameters")
-    half = n // 2
-    for attempt in range(5):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        primes = _PRIMES[: min(len(_PRIMES), 4 * (n - 2))]
-        rng.shuffle(primes)
-        values = [
-            Fraction(primes[2 * k], primes[2 * k + 1]) for k in range(n - 2)
-        ]
-        col1 = values[: half - 1]
-        col2 = values[half - 1 :][: half - 1]
-        rows: list[tuple[Fraction, Fraction]] = []
-        for r in range(1, n + 1):
-            a = col1[r - 1] if r < half else (Fraction(1) if r == half else Fraction(0))
-            b = (
-                col2[r - half - 1]
-                if half < r < n
-                else (Fraction(1) if r == n else Fraction(0))
-            )
-            rows.append((a, b))
-        matrix = PlaneMatrix(tuple(rows))
-        if all(matrix.minor(k, half + k) != 0 for k in range(1, half + 1)):
-            return XiPoint(n, matrix, tuple(col1), tuple(col2))
-    raise RuntimeError(f"could not draw a generic point for n={n}, seed={seed}")
 
 
 def sorted_pair(a: int, b: int) -> Pair:
@@ -112,18 +56,11 @@ def sorted_pair(a: int, b: int) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-def permuted_matrix(subset: Subset, xi: XiPoint) -> PlaneMatrix:
-    """Row permutation of xi by the coset representative of the subset."""
-    perm = full_permutation(subset, xi.n)
-    rows: list[tuple[Fraction, Fraction] | None] = [None] * xi.n
-    for i in range(xi.n):
-        rows[perm[i] - 1] = xi.matrix.rows[i]
-    return PlaneMatrix(tuple(rows))  # type: ignore[arg-type]
-
-
-def witness_monomial(subset: Subset, n: int) -> Monomial:
-    """The invariant standard monomial that is nonzero at the permuted
-    point: the product of p over the sorted pairs (perm(k), perm(n/2+k)).
+def witness_monomial(subset: Subset, n: int) -> tuple[Pair, ...]:
+    """The invariant standard monomial that is nonzero at the point of the
+    coset: the product of p over the sorted pairs (perm(k), perm(n/2+k)).
+    Each pair has one row in the subset and one outside it, so each factor
+    is a nonzero minor there.
 
     The identity subset and its complement are excluded: there the
     construction degenerates to the diagonal monomial.
@@ -146,31 +83,63 @@ def witness_monomial(subset: Subset, n: int) -> Monomial:
     return tuple(sorted(sorted_pair(perm[k], perm[half + k]) for k in range(half)))
 
 
-@dataclass(frozen=True)
 class SingularCandidateSet:
-    """Candidate singular points of the quotient of X(w)."""
+    """Candidate singular points of the quotient of X(w): the member
+    cosets, their complementation pairs and the number of pairs."""
 
-    n: int
-    w: Pair
-    members: tuple[Subset, ...]
-    pairs: tuple[tuple[Subset, Subset], ...]
-    l_size: int
+    __slots__ = ("n", "w", "members", "pairs", "l_size")
+
+    def __init__(
+        self,
+        n: int,
+        w: Pair,
+        members: tuple[Subset, ...],
+        pairs: tuple[tuple[Subset, Subset], ...],
+        l_size: int,
+    ) -> None:
+        self.n = n
+        self.w = w
+        self.members = members
+        self.pairs = pairs
+        self.l_size = l_size
+
+    def _fields(self) -> tuple:
+        return (self.n, self.w, self.members, self.pairs, self.l_size)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SingularCandidateSet:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            "SingularCandidateSet(n={!r}, w={!r}, members={!r}, pairs={!r}, "
+            "l_size={!r})".format(*self._fields())
+        )
 
 
-def _complement(subset: Subset, everything: frozenset[int]) -> Subset:
-    return tuple(sorted(everything.difference(subset)))
+def singular_count(n: int) -> int:
+    """Number of singular points of the quotient of the full Grassmannian:
+    the full window keeps all C(n, n/2) cosets, and complementation pairs
+    them without fixed points, so there are C(n, n/2)/2 = C(n-1, n/2).
+
+    >>> [singular_count(n) for n in (4, 6, 8, 10)]
+    [3, 10, 35, 126]
+    """
+    _check_window((n - 1, n), n)
+    return comb(n - 1, n // 2)
 
 
 def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
-    """Enumerate the middle-parabolic cosets whose translate of xi stays in
-    X(w), pair them by complementation, and count the quotient images.
+    """Enumerate the middle-parabolic cosets whose point stays in X(w),
+    pair them by complementation, and count the quotient images.
 
     Membership is decided by the split rule, which is exact for every
-    choice of xi's free parameters.  The translate of xi by the coset of S
-    has row i equal to (a_i, 0) for i in S and (0, b_i) otherwise, with
-    every a_i and b_i nonzero, so its minor on rows (i, j) is nonzero
-    exactly when one of i, j is in S and the other is not.  The translate
-    lies in X(w) iff every such split pair is Bruhat-below w.  Only windows
+    choice of the generic point's free parameters.  The point of the coset
+    of S has row i equal to (a_i, 0) for i in S and (0, b_i) otherwise,
+    with every a_i and b_i nonzero, so its minor on rows (i, j) is nonzero
+    exactly when one of i, j is in S and the other is not.  The point lies
+    in X(w) iff every such split pair is Bruhat-below w.  Only windows
     w = (b, n) with b >= n/2 have semistable points, and the pairs outside
     their lower interval are the pairs inside {b+1, ..., n}, so S is a
     member iff it contains all of {b+1, ..., n} or none of it.  No point is
@@ -183,22 +152,21 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
     Complementation reverses the lexicographic order of n/2-subsets, so a
     member tuple closed under it pairs ``members[k]`` with
     ``members[-1 - k]``: each pair holds two member objects, and no set of
-    members or fresh complement is kept.  The first half of the members is
-    checked against its computed complement, which certifies that the
-    tuple is closed and that no coset is its own complement.
+    members or fresh complement is kept.  Two n/2-subsets of {1..n} are
+    complements exactly when they are disjoint, and the first half of the
+    members is checked for disjointness from its mates, which certifies
+    that the tuple is closed; an odd count would leave the middle member
+    as its own mate.
     More than :data:`MAX_CANDIDATE_COSETS` cosets are refused before any
     is enumerated.
     """
-    check_pair(w, n)
-    if stability_status(w, n, n // 2) == Stability.NO_SEMISTABLE:
-        raise ValueError(f"X{w} admits no semistable points for n={n}")
+    _check_window(w, n)
     cosets = comb(n, n // 2)
     if cosets > MAX_CANDIDATE_COSETS:
         raise ValueError(
             f"the candidate scan for n={n} would enumerate C({n}, {n // 2}) = "
             f"{cosets} cosets, above the cap of {MAX_CANDIDATE_COSETS}"
         )
-    _check_xi_n(n)
     b = w[0]
     candidates = combinations(range(1, n + 1), n // 2)
     if b < n - 1:
@@ -207,21 +175,24 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
         tail = tuple(range(b + 1, n + 1))
         candidates = (s for s in candidates if s[-1] <= b or s[b - n :] == tail)
     members = tuple(candidates)
-    everything = frozenset(range(1, n + 1))
-    last = len(members) - 1
-    pairs: list[tuple[Subset, Subset]] = []
-    for k in range(len(members) - len(members) // 2):
-        subset = members[k]
-        partner = _complement(subset, everything)
-        if partner == subset:
-            raise RuntimeError(f"complementation fixes {subset}; pairing broken")
-        mate = members[last - k]
-        if partner != mate:
-            raise RuntimeError(
-                f"candidate set is not closed under complementation at {subset}"
-            )
-        pairs.append((subset, mate))
-    return SingularCandidateSet(n, w, members, tuple(pairs), len(pairs))
+    half, odd = divmod(len(members), 2)
+    if odd:
+        raise RuntimeError(f"complementation fixes {members[half]}; pairing broken")
+    # Iterated in C: one transient frozenset per member of the first half.
+    disjoint = map(frozenset.isdisjoint, map(frozenset, members), reversed(members))
+    if not all(islice(disjoint, half)):
+        subset = next(
+            s
+            for s, mate in zip(members, reversed(members))
+            if not frozenset(s).isdisjoint(mate)
+        )
+        raise RuntimeError(
+            f"candidate set is not closed under complementation at {subset}"
+        )
+    # Collected in a list and then copied: a tuple grown in place from the
+    # iterator raised the benchmark's peak RSS by about 0.2 MB at n = 18.
+    pairs = tuple(list(zip(islice(members, half), reversed(members))))
+    return SingularCandidateSet(n, w, members, pairs, half)
 
 
 def smooth_locus_width(w: Pair, n: int) -> int:
@@ -234,32 +205,3 @@ def smooth_locus_width(w: Pair, n: int) -> int:
     if b < n // 2:
         raise ValueError(f"need b >= n/2, got b={b} for n={n}")
     return b + 1 - n // 2
-
-
-def witness_value(subset: Subset, xi: XiPoint) -> Fraction:
-    """Value of the witness monomial at the permuted point."""
-    return evaluate(pmono(witness_monomial(subset, xi.n)), permuted_matrix(subset, xi))
-
-
-def invariant_evaluation_vector(
-    subset: Subset, xi: XiPoint, monomials: tuple[Monomial, ...]
-) -> tuple[Fraction, ...]:
-    """Evaluations of the degree-one invariants at the permuted point."""
-    matrix = permuted_matrix(subset, xi)
-    return tuple(evaluate(pmono(m), matrix) for m in monomials)
-
-
-def projectively_equal(
-    a: tuple[Fraction, ...], b: tuple[Fraction, ...]
-) -> bool:
-    """True iff two coordinate vectors agree up to a global nonzero scale."""
-    if len(a) != len(b):
-        return False
-    pivot = next((k for k, x in enumerate(a) if x), None)
-    pivot_b = next((k for k, x in enumerate(b) if x), None)
-    if pivot is None or pivot_b is None:
-        return pivot == pivot_b
-    if pivot != pivot_b:
-        return False
-    scale = b[pivot] / a[pivot]
-    return all(y == scale * x for x, y in zip(a, b))

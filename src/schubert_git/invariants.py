@@ -9,7 +9,6 @@ times among its factors, i.e. its content vector is ``(d, ..., d)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable
 
@@ -33,14 +32,22 @@ def content(factors: Monomial, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """Labeled invariant standard monomials of one degree on a window."""
 
-    support: SupportRange
-    degree: int
-    labels: tuple[str, ...]
-    monomials: tuple[Monomial, ...]
+    __slots__ = ("support", "degree", "labels", "monomials")
+
+    def __init__(
+        self,
+        support: SupportRange,
+        degree: int,
+        labels: tuple[str, ...],
+        monomials: tuple[Monomial, ...],
+    ) -> None:
+        self.support = support
+        self.degree = degree
+        self.labels = labels
+        self.monomials = monomials
 
     def __len__(self) -> int:
         return len(self.monomials)

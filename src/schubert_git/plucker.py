@@ -10,9 +10,8 @@ instances whose tokens are the index pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .poly import Poly
 from .weyl import Pair, bruhat_leq, check_pair, coset_reps
@@ -62,8 +61,7 @@ def plucker_relation(i: int, j: int, k: int, l: int) -> Poly:
     )
 
 
-@dataclass(frozen=True)
-class PlaneMatrix:
+class PlaneMatrix(NamedTuple):
     """An n x 2 matrix of exact rationals, rows indexed 1..n."""
 
     rows: tuple[tuple[Fraction, Fraction], ...]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .plucker import format_plucker
 from .poly import Poly
@@ -25,6 +25,8 @@ def verify_identity(lhs: Poly, rhs: Poly, support: SupportRange) -> bool:
     return straighten(lhs - rhs, support).is_zero
 
 
+# The suite records are dataclasses so that callers can derive a variant
+# with ``dataclasses.replace``.
 @dataclass(frozen=True)
 class IdentityRecord:
     case: str
@@ -106,8 +108,7 @@ def toric_suite(n: int, k: int) -> SuiteReport:
     return _run_checks(f"richardson-n{n}-k{k}", identities, support)
 
 
-@dataclass(frozen=True)
-class JacobianReport:
+class JacobianReport(NamedTuple):
     matrix: tuple[tuple[Fraction, ...], ...]
     rank: int
     codim_target: int

@@ -18,8 +18,8 @@ call however many probes reach it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .formal import format_formal, ytoken
 from .poly import Monomial, Poly
@@ -32,18 +32,16 @@ class RewriteGraphLimit(RuntimeError):
     """Raised when the explored rewrite graph exceeds the state cap."""
 
 
-@dataclass(frozen=True)
 class ReductionSystem:
-    rules: tuple[tuple[Monomial, Poly], ...]
-    # Sorted left side -> right sides in rule order, built once from rules.
-    index: dict[Monomial, tuple[Poly, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    degrees: frozenset[int] = field(init=False, repr=False, compare=False)
+    """Rules ``lhs -> rhs`` with their index, built once: each sorted left
+    side maps to its right sides in rule order, and ``degrees`` holds the
+    left-side degrees."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("rules", "index", "degrees")
+
+    def __init__(self, rules: tuple[tuple[Monomial, Poly], ...]) -> None:
         index: dict[Monomial, list[Poly]] = {}
-        for lhs, rhs in self.rules:
+        for lhs, rhs in rules:
             if not lhs:
                 raise ValueError("rule left sides must be nonconstant monomials")
             key = tuple(sorted(lhs))
@@ -54,10 +52,9 @@ class ReductionSystem:
                         "own left side; trivial loop"
                     )
             index.setdefault(key, []).append(rhs)
-        object.__setattr__(
-            self, "index", {lhs: tuple(rhss) for lhs, rhss in index.items()}
-        )
-        object.__setattr__(self, "degrees", frozenset(len(lhs) for lhs in index))
+        self.rules = rules
+        self.index = {lhs: tuple(rhss) for lhs, rhss in index.items()}
+        self.degrees = frozenset(len(lhs) for lhs in index)
 
 
 def _divide(mono: Monomial, divisor: Monomial) -> Monomial | None:
@@ -103,8 +100,7 @@ def _steps(system: ReductionSystem, state: Poly) -> dict[tuple, Poly]:
     return out
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     probe: Monomial
     normal_forms: tuple[str, ...]
     states_explored: int
@@ -114,8 +110,7 @@ class ProbeResult:
         return len(self.normal_forms) == 1
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
+class ConfluenceReport(NamedTuple):
     results: tuple[ProbeResult, ...]
 
     @property

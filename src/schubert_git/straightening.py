@@ -29,7 +29,6 @@ end, so its rows go in and come out as index pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, Mapping, TypeVar
 
@@ -46,20 +45,47 @@ class StraighteningLimit(RuntimeError):
     """Raised if the rewrite step ceiling is exceeded (bug guard)."""
 
 
-@dataclass(frozen=True)
 class SupportRange:
     """A window ``(n, v, w)`` with ``v <= w``: the pairs surviving
-    restriction are exactly those between ``v`` and ``w``."""
+    restriction are exactly those between ``v`` and ``w``.
 
+    An immutable value: equal windows compare and hash alike.
+    """
+
+    __slots__ = ("n", "v", "w")
     n: int
     v: Pair
     w: Pair
 
-    def __post_init__(self) -> None:
-        check_pair(self.v, self.n)
-        check_pair(self.w, self.n)
-        if not bruhat_leq(self.v, self.w):
-            raise ValueError(f"empty window: {self.v} is not below {self.w}")
+    def __init__(self, n: int, v: Pair, w: Pair) -> None:
+        check_pair(v, n)
+        check_pair(w, n)
+        if not bruhat_leq(v, w):
+            raise ValueError(f"empty window: {v} is not below {w}")
+        setattr_ = object.__setattr__
+        setattr_(self, "n", n)
+        setattr_(self, "v", v)
+        setattr_(self, "w", w)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self.n, self.v, self.w))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.v, self.w) == (other.n, other.v, other.w)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.v, self.w))
+
+    def __repr__(self) -> str:
+        return f"SupportRange(n={self.n!r}, v={self.v!r}, w={self.w!r})"
 
     @classmethod
     def full(cls, n: int) -> "SupportRange":

@@ -12,12 +12,7 @@ from math import comb
 from schubert_git import case_studies, linalg
 from schubert_git.cli import main as cli_main
 from schubert_git.formal import format_formal
-from schubert_git.git_geometry import (
-    singular_candidates,
-    witness_monomial,
-    witness_value,
-    xi_point,
-)
+from schubert_git.git_geometry import singular_candidates, witness_monomial
 from schubert_git.invariants import (
     degree_one_generation_check,
     hilbert_count,
@@ -44,6 +39,7 @@ from schubert_git.weyl import (
 )
 
 from conftest import random_poly
+from reference_git_geometry import witness_value, xi_point
 from reference_straightening import reference_straighten
 
 

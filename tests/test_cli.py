@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -173,6 +174,25 @@ def test_singular_count_refuses_small_and_odd_n(capsys, n, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_singular_count_prints_the_closed_form_at_any_size(capsys):
+    # The scan behind `candidates` stops above 10^6 cosets; the count does not.
+    for n, expected in [(22, 352716), (24, 1352078), (26, 5200300)]:
+        code, out = run_cli(capsys, "singular-count", "--n", str(n), "--json")
+        assert code == 0
+        assert json.loads(out) == {"n": n, "count": expected}
+        assert expected == comb(n, n // 2) // 2
+    assert main(["candidates", "--n", "24"]) == 2
+    assert "above the cap of 1000000" in capsys.readouterr().err
+    # C(19999, 10000) has 6,019 digits, over the interpreter's default
+    # limit of 4,300 for converting an int to text, which stays in force.
+    code, out = run_cli(capsys, "singular-count", "--n", "20000")
+    count = comb(19999, 10000)
+    assert code == 0
+    assert len(out) == 6020 and int(out[-10:]) == count % 10**9
+    with pytest.raises(ValueError):
+        str(count)
 
 
 def test_candidates(capsys):

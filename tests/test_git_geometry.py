@@ -8,22 +8,26 @@ from hypothesis import given, settings, strategies as st
 
 from schubert_git import git_geometry
 from schubert_git.git_geometry import (
-    invariant_evaluation_vector,
-    permuted_matrix,
-    projectively_equal,
+    SingularCandidateSet,
     singular_candidates,
+    singular_count,
     smooth_locus_width,
     sorted_pair,
     witness_monomial,
-    witness_value,
-    xi_point,
 )
 from schubert_git.invariants import content, invariant_basis
 from schubert_git.plucker import PlaneMatrix, evaluate, pmono
 from schubert_git.straightening import SupportRange, is_standard
 from schubert_git.weyl import Stability, bruhat_leq, coset_reps, stability_status
 
-from reference_git_geometry import reference_singular_candidates
+from reference_git_geometry import (
+    invariant_evaluation_vector,
+    permuted_matrix,
+    projectively_equal,
+    reference_singular_candidates,
+    witness_value,
+    xi_point,
+)
 
 
 def test_xi_point_structure():
@@ -113,14 +117,12 @@ def test_singular_candidate_counts_full_grassmannian(n, expected):
 
 
 def test_no_window_draws_a_point(monkeypatch):
-    # Membership follows from which rows the coset moves, not from a point.
-    def drawn(n, seed=0):
-        raise AssertionError(f"xi drawn for n={n}")
-
+    # Membership follows from which rows the coset moves, not from a point:
+    # the package has no point to draw, and no minor is computed.
     def minor(self, i, j):
         raise AssertionError(f"minor ({i}, {j}) computed")
 
-    monkeypatch.setattr(git_geometry, "xi_point", drawn)
+    assert not hasattr(git_geometry, "xi_point")
     monkeypatch.setattr(PlaneMatrix, "minor", minor)
     result = singular_candidates((6, 8), 8)
     assert len(result.members) == 30
@@ -246,18 +248,29 @@ def test_singular_candidates_refuse_oversized_scans_before_enumerating(monkeypat
         singular_candidates((15, 22), 22)
 
 
+def _enumerate(cosets):
+    # Stands in for itertools.combinations: the scan's cosets become these.
+    return lambda items, r: iter(cosets)
+
+
 def test_singular_candidates_self_check_fixed_point(monkeypatch):
-    monkeypatch.setattr(git_geometry, "_complement", lambda subset, everything: subset)
-    with pytest.raises(RuntimeError, match="complementation fixes"):
+    # An odd count leaves the middle coset as its own mate.
+    cosets = coset_reps(6, 3)
+    del cosets[0]
+    monkeypatch.setattr(git_geometry, "combinations", _enumerate(cosets))
+    with pytest.raises(RuntimeError, match=r"complementation fixes \(2, 3, 4\)"):
         singular_candidates((5, 6), 6)
 
 
 def test_singular_candidates_self_check_not_closed(monkeypatch):
-    # X(4,6) keeps 8 of the 20 cosets, so a non-member exists.
-    members = set(singular_candidates((4, 6), 6).members)
-    outsider = next(s for s in coset_reps(6, 3) if s not in members)
-    monkeypatch.setattr(git_geometry, "_complement", lambda subset, everything: outsider)
-    with pytest.raises(RuntimeError, match="not closed under complementation"):
+    # X(4,6) keeps 8 of the 20 cosets.  Without (1, 2, 3) and (1, 2, 4) it
+    # keeps 6, and the first, (1, 3, 4), faces (4, 5, 6), not its
+    # complement.
+    cosets = coset_reps(6, 3)[2:]
+    monkeypatch.setattr(git_geometry, "combinations", _enumerate(cosets))
+    with pytest.raises(
+        RuntimeError, match=r"not closed under complementation at \(1, 3, 4\)"
+    ):
         singular_candidates((4, 6), 6)
 
 
@@ -314,3 +327,53 @@ def test_smooth_locus_width_values():
         smooth_locus_width((4, 5), 6)
     with pytest.raises(ValueError):
         smooth_locus_width((2, 6), 6)
+
+
+@pytest.mark.parametrize("n", range(4, 19, 2))
+def test_singular_count_closed_form_matches_scan(n):
+    assert singular_count(n) == singular_candidates((n - 1, n), n).l_size
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (2, "need even n >= 4, got 2"),
+        (3, "weight 1\\*omega_2 is not in the root lattice for n=3"),
+        (25, "weight 12\\*omega_2 is not in the root lattice for n=25"),
+        (0, "invalid index pair \\(-1, 0\\): need 1 <= i < j"),
+    ],
+)
+def test_singular_count_refuses_what_the_scan_refuses(n, message):
+    for count in (singular_count, lambda n: singular_candidates((n - 1, n), n)):
+        with pytest.raises(ValueError, match=message):
+            count(n)
+
+
+def _split_point(subset, n):
+    # Rows (1, 0) on the subset and (0, 1) off it.
+    return PlaneMatrix(tuple((1, 0) if i in subset else (0, 1) for i in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_permuted_xi_is_projectively_the_split_point(n):
+    # The split rule's premise: the translate of xi by the coset of S has
+    # rows (a_i, 0) on S and (0, b_i) off it, so on the degree-one
+    # invariants, each holding every index once, it is a fixed nonzero
+    # multiple of the 0/1 split point.
+    monomials = invariant_basis(SupportRange.full(n), 1).monomials
+    xis = [xi_point(n, seed) for seed in range(5)]
+    for subset in coset_reps(n, n // 2):
+        split = tuple(evaluate(pmono(m), _split_point(subset, n)) for m in monomials)
+        assert set(split) <= {-1, 0, 1} and any(split)
+        for xi in xis:
+            assert projectively_equal(invariant_evaluation_vector(subset, xi, monomials), split)
+
+
+def test_candidate_set_is_a_value():
+    a = singular_candidates((6, 8), 8)
+    b = singular_candidates((6, 8), 8)
+    assert a == b and a is not b
+    assert a != singular_candidates((7, 8), 8)
+    assert repr(a).startswith("SingularCandidateSet(n=8, w=(6, 8), members=((1, 2, 3, 4), ")
+    assert repr(a).endswith(", l_size=15)")
+    assert SingularCandidateSet(4, (3, 4), (), (), 0) == SingularCandidateSet(4, (3, 4), (), (), 0)

@@ -31,15 +31,28 @@ def _fresh(code: str, *args: str):
 
 _LOADED = "sorted(m for m in sys.modules if m.startswith('schubert_git'))"
 
-_CLI_PROBE = f"""
+_CLI_PROBE = """
 import contextlib, io, json, sys
 from schubert_git import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, {_LOADED}]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
-HEAVY = {"case_studies", "invariants", "presentations", "straightening", "expr"}
+SCAN = {"cli", "weyl", "git_geometry"}
+
+# Standard-library modules a light subcommand must not load: dataclasses
+# and the inspection modules it pulls in, and, for the coset scan, exact
+# rationals and random draws.
+NO_RECORDS = {"dataclasses", "inspect"}
+NO_POINT = NO_RECORDS | {"fractions", "random"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """What a bare interpreter loads before any code runs, site hooks
+    included."""
+    return set(_fresh("import json, sys; print(json.dumps(sorted(sys.modules)))"))
 
 
 @pytest.mark.parametrize(
@@ -47,8 +60,8 @@ HEAVY = {"case_studies", "invariants", "presentations", "straightening", "expr"}
     [
         (["minimal", "--n", "8"], {"cli", "weyl"}, None),
         (["stability", "--n", "6", "--w", "4,6"], {"cli", "weyl"}, None),
-        (["singular-count", "--n", "6"], None, HEAVY),
-        (["candidates", "--n", "8", "--w", "6,8"], None, HEAVY),
+        (["singular-count", "--n", "6"], SCAN, None),
+        (["candidates", "--n", "8", "--w", "6,8"], SCAN, None),
         (["confluence", "--symbols", "6"], None, {"case_studies", "presentations"}),
         (
             ["verify", "--n", "6", "--lhs", "p[2,5]*p[3,4]", "--rhs", "p[2,4]*p[3,5] - p[2,3]*p[4,5]"],
@@ -61,12 +74,29 @@ HEAVY = {"case_studies", "invariants", "presentations", "straightening", "expr"}
 def test_cli_loads_only_its_modules(argv, allowed, barred):
     code, loaded = _fresh(_CLI_PROBE, json.dumps(argv))
     assert code == 0
-    assert loaded[0] == "schubert_git"
-    modules = {name.split(".", 1)[1] for name in loaded[1:]}
+    ours = [name for name in loaded if name.startswith("schubert_git")]
+    assert ours[0] == "schubert_git"
+    modules = {name.split(".", 1)[1] for name in ours[1:]}
     if allowed is not None:
         assert modules == allowed
     if barred is not None:
         assert not modules & barred
+
+
+@pytest.mark.parametrize(
+    "argv, barred",
+    [
+        (["straighten", "p[2,5]*p[3,4]", "--n", "6"], NO_RECORDS),
+        (["confluence", "--symbols", "6"], NO_RECORDS),
+        (["singular-count", "--n", "6"], NO_POINT),
+        (["candidates", "--n", "8", "--w", "6,8"], NO_POINT),
+    ],
+    ids=["straighten", "confluence", "singular-count", "candidates"],
+)
+def test_light_subcommands_skip_heavy_stdlib_modules(argv, barred, bare_modules):
+    code, loaded = _fresh(_CLI_PROBE, json.dumps(argv))
+    assert code == 0
+    assert not (set(loaded) - bare_modules) & barred
 
 
 def test_package_import_loads_no_module():

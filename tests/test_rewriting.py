@@ -290,9 +290,13 @@ def test_binomial_presentation_shapes():
     assert is_binomial_presentation([])
 
 
-def test_report_is_dataclass_value():
+def test_report_is_a_value():
     system = nesting_reduction_system(4)
     report = confluence_check(system, matching_probes(4))
     assert isinstance(report, ConfluenceReport)
+    assert report == confluence_check(system, matching_probes(4))
+    assert hash(report) == hash(confluence_check(system, matching_probes(4)))
+    with pytest.raises(AttributeError):
+        report.results = ()
     assert report.confluent
     assert report.results[0].states_explored >= 1

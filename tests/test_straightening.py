@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -28,6 +29,22 @@ def test_support_range_validation():
     with pytest.raises(ValueError):
         SupportRange(6, (1, 2), (5, 7))
     assert SupportRange.full(6) == SupportRange(6, (1, 2), (5, 6))
+
+
+def test_support_range_is_an_immutable_value():
+    full = SupportRange.full(6)
+    same = SupportRange(n=6, v=(1, 2), w=(5, 6))
+    assert full == same and hash(full) == hash(same)
+    assert full != SupportRange(6, (1, 3), (5, 6)) and full != (6, (1, 2), (5, 6))
+    assert len({full, same, SupportRange.schubert(6, (4, 6))}) == 2
+    assert repr(full) == "SupportRange(n=6, v=(1, 2), w=(5, 6))"
+    with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+        full.n = 8
+    with pytest.raises(AttributeError):
+        full.extra = 1
+    with pytest.raises(AttributeError):
+        del full.w
+    assert pickle.loads(pickle.dumps(full)) == full
 
 
 def test_is_standard_examples(g26_support):
