@@ -15,12 +15,12 @@ from schubert_git.rewriting import (
     matching_probes,
     nesting_reduction_system,
 )
-from schubert_git.git_geometry import singular_candidates
+from schubert_git.git_geometry import singular_candidates, singular_count
 from schubert_git.straightening import SupportRange
 
 
 def main() -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = 0
 
     print("== identity suites ==")
@@ -45,6 +45,7 @@ def main() -> int:
             f"  {name}: degree {d}, #generators {len(case.generators)}, "
             f"kernel dimension {len(kernel)}, recorded {len(case.presentation)}"
         )
+        failures += len(kernel) != len(case.presentation)
         if name == "g26":
             print(f"    {format_formal(kernel[0])}")
 
@@ -70,9 +71,14 @@ def main() -> int:
     print("== singular counts ==")
     for n in (6, 8, 10):
         result = singular_candidates((n - 1, n), n)
-        print(f"  n={n}: |K|={len(result.members)}, candidate points={result.l_size}")
+        count = singular_count(n)
+        print(
+            f"  n={n}: |K|={len(result.members)}, candidate points={result.l_size}, "
+            f"closed form {count}"
+        )
+        failures += result.l_size != count
 
-    print(f"done in {time.time() - t0:.1f}s, failures: {failures}")
+    print(f"done in {time.perf_counter() - t0:.3f}s, failures: {failures}")
     return 1 if failures else 0
 
 

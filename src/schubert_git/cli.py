@@ -1,10 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
-3 internal fault (an exhausted rewrite budget or a failed self-check).
-No subcommand draws anything at random: every subcommand accepts --seed
-for compatibility and none reads it.  --json switches the human-readable
-text to machine records.
+Each ``cmd_*`` handler computes its subcommand's record and returns it as
+``(payload, lines)``: the JSON payload and the text lines.  ``verify``,
+``reproduce`` and ``confluence`` also return a pass/fail verdict, as
+``(payload, lines, ok)``.  :func:`main` is the one place that prints,
+the text lines or (with --json) the payload, and the one place that maps
+outcomes to exit codes: 0 success, 1 a failed verdict, 2 usage or
+parameter error, 3 internal fault (an exhausted rewrite budget or a failed
+self-check).
+
+No subcommand draws anything at random.  Every subcommand still accepts
+--seed and none reads it, so callers that pass a seed to every command,
+such as the benchmark's command-line workload, keep working.
 
 Each handler imports the modules it calls when it runs, so a process
 loads only what its subcommand needs: ``minimal`` and ``stability`` load
@@ -46,48 +53,38 @@ def _point(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}")
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _support(args) -> SupportRange:
     from .straightening import SupportRange
 
-    v = getattr(args, "v", None) or (1, 2)
-    w = getattr(args, "w", None) or (args.n - 1, args.n)
-    return SupportRange(args.n, v, w)
+    return SupportRange(args.n, args.v or (1, 2), args.w or (args.n - 1, args.n))
 
 
-def cmd_minimal(args) -> int:
+def _window(support: SupportRange) -> dict:
+    return {"n": support.n, "v": list(support.v), "w": list(support.w)}
+
+
+def cmd_minimal(args) -> tuple[dict, list]:
     from .weyl import minimal_elements
 
     w_ss, w_s = minimal_elements(args.n)
-    _emit(
-        args,
+    return (
         {"n": args.n, "w_ss_min": list(w_ss), "w_s_min": list(w_s)},
         [f"w_ss_min = {w_ss}", f"w_s_min = {w_s}"],
     )
-    return 0
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> tuple[dict, list]:
     from .weyl import stability_status
 
     d = args.d if args.d is not None else args.n // 2
     status = stability_status(args.w, args.n, d)
-    _emit(
-        args,
+    return (
         {"n": args.n, "w": list(args.w), "d": d, "status": status.name},
         [f"X{args.w} at degree {d}: {status.name}"],
     )
-    return 0
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> tuple[dict, list]:
     from .plucker import format_plucker, pmono
 
     support = _support(args)
@@ -103,9 +100,7 @@ def cmd_basis(args) -> int:
         monos, labels = list(gens.monomials), list(gens.labels)
     texts = [format_plucker(pmono(m)) for m in monos]
     payload = {
-        "n": support.n,
-        "v": list(support.v),
-        "w": list(support.w),
+        **_window(support),
         "kind": args.kind,
         "degree": args.degree,
         "count": len(monos),
@@ -116,30 +111,19 @@ def cmd_basis(args) -> int:
     lines = [f"{len(monos)} elements"] + [
         f"  {lbl} = {text}" for lbl, text in zip(labels, texts)
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_straighten(args) -> int:
+def cmd_straighten(args) -> tuple[dict, list]:
     from .expr import parse_expr
     from .plucker import format_plucker
     from .straightening import straighten
 
     support = _support(args)
     poly = parse_expr(args.expr, support.n)
-    result = straighten(poly, support)
-    _emit(
-        args,
-        {
-            "n": support.n,
-            "v": list(support.v),
-            "w": list(support.w),
-            "input": args.expr,
-            "normal_form": format_plucker(result),
-        },
-        [format_plucker(result)],
-    )
-    return 0
+    normal_form = format_plucker(straighten(poly, support))
+    payload = {**_window(support), "input": args.expr, "normal_form": normal_form}
+    return payload, [normal_form]
 
 
 def _refuse_window_flags(args, names: tuple[str, ...], case: str) -> None:
@@ -152,7 +136,7 @@ def _refuse_window_flags(args, names: tuple[str, ...], case: str) -> None:
         )
 
 
-def cmd_relations(args) -> int:
+def cmd_relations(args) -> tuple[dict, list]:
     from .formal import format_formal
     from .invariants import multiplication_kernel
 
@@ -167,23 +151,17 @@ def cmd_relations(args) -> int:
         raise ValueError("relations needs --case or an explicit --n window")
     else:
         support = _support(args)
-    kernel = multiplication_kernel(support, args.degree)
+    kernel = [format_formal(p) for p in multiplication_kernel(support, args.degree)]
     payload = {
-        "n": support.n,
-        "v": list(support.v),
-        "w": list(support.w),
+        **_window(support),
         "degree": args.degree,
         "dimension": len(kernel),
-        "relations": [format_formal(p) for p in kernel],
+        "relations": kernel,
     }
-    lines = [f"kernel dimension {len(kernel)}"] + [
-        f"  {format_formal(p)}" for p in kernel
-    ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, [f"kernel dimension {len(kernel)}"] + [f"  {r}" for r in kernel]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, list, bool]:
     from .expr import parse_expr
     from .presentations import verify_identity
 
@@ -191,22 +169,14 @@ def cmd_verify(args) -> int:
     lhs = parse_expr(args.lhs, support.n)
     rhs = parse_expr(args.rhs, support.n)
     ok = verify_identity(lhs, rhs, support)
-    _emit(
-        args,
-        {
-            "n": support.n,
-            "v": list(support.v),
-            "w": list(support.w),
-            "lhs": args.lhs,
-            "rhs": args.rhs,
-            "status": "pass" if ok else "fail",
-        },
-        ["pass" if ok else "fail"],
-    )
-    return 0 if ok else 1
+    status = "pass" if ok else "fail"
+    payload = {**_window(support), "lhs": args.lhs, "rhs": args.rhs, "status": status}
+    return payload, [status], ok
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple[dict, list, bool]:
+    from dataclasses import asdict
+
     from .presentations import case_suite, toric_suite
 
     if args.case == "richardson":
@@ -216,32 +186,23 @@ def cmd_reproduce(args) -> int:
     else:
         _refuse_window_flags(args, ("n", "k"), args.case)
         report = case_suite(args.case)
+    total, passed = len(report.records), sum(r.ok for r in report.records)
     payload = {
         "case": report.case,
-        "total": len(report.records),
-        "passed": sum(r.ok for r in report.records),
-        "records": [
-            {
-                "case": r.case,
-                "relation_label": r.relation_label,
-                "status": r.status,
-                "lhs_normal_form": r.lhs_normal_form,
-                "rhs_normal_form": r.rhs_normal_form,
-            }
-            for r in report.records
-        ],
+        "total": total,
+        "passed": passed,
+        "records": [asdict(r) for r in report.records],
     }
-    lines = [f"case {report.case}: {payload['passed']}/{payload['total']} identities hold"]
+    lines = [f"case {report.case}: {passed}/{total} identities hold"]
     for r in report.records:
         lines.append(f"  [{r.status}] {r.relation_label}")
         if not r.ok:
             lines.append(f"         lhs -> {r.lhs_normal_form}")
             lines.append(f"         rhs -> {r.rhs_normal_form}")
-    _emit(args, payload, lines)
-    return 0 if report.all_ok else 1
+    return payload, lines, report.all_ok
 
 
-def cmd_jacobian(args) -> int:
+def cmd_jacobian(args) -> tuple[dict, list]:
     from .presentations import case_jacobian
 
     report = case_jacobian(args.case, args.point)
@@ -257,11 +218,10 @@ def cmd_jacobian(args) -> int:
         f"rank {report.rank} vs codimension {report.codim_target}: "
         + ("singular" if report.singular else "nonsingular")
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_confluence(args) -> int:
+def cmd_confluence(args) -> tuple[dict, list, bool]:
     from . import rewriting
     from .formal import format_formal
     from .poly import Poly
@@ -269,47 +229,35 @@ def cmd_confluence(args) -> int:
     probes = rewriting.matching_probes(args.symbols)
     system = rewriting.nesting_reduction_system(args.symbols)
     report = rewriting.confluence_check(system, probes)
+    results = [
+        {
+            "probe": format_formal(Poly.from_monomial(r.probe)),
+            "normal_forms": list(r.normal_forms),
+        }
+        for r in report.results
+    ]
     payload = {
         "symbols": args.symbols,
-        "probes": len(report.results),
+        "probes": len(results),
         "confluent": report.confluent,
-        "results": [
-            {
-                "probe": format_formal(Poly.from_monomial(r.probe)),
-                "normal_forms": list(r.normal_forms),
-            }
-            for r in report.results
-        ],
+        "results": results,
     }
     lines = [
-        f"{len(report.results)} probes, "
+        f"{len(results)} probes, "
         + ("confluent" if report.confluent else "NOT confluent")
-    ]
-    for r in report.results:
-        lines.append(
-            f"  {format_formal(Poly.from_monomial(r.probe))} -> {', '.join(r.normal_forms)}"
-        )
-    _emit(args, payload, lines)
-    return 0 if report.confluent else 1
+    ] + [f"  {r['probe']} -> {', '.join(r['normal_forms'])}" for r in results]
+    return payload, lines, report.confluent
 
 
-def cmd_singular_count(args) -> int:
+def cmd_singular_count(args) -> tuple[dict, list]:
     from .git_geometry import singular_count
 
     count = singular_count(args.n)
-    # The count has about 0.3 n digits: print it whatever its length.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        _emit(args, {"n": args.n, "count": count}, [str(count)])
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
-    return 0
+    # The count stays an int here: main turns it into text.
+    return {"n": args.n, "count": count}, [count]
 
 
-def cmd_candidates(args) -> int:
+def cmd_candidates(args) -> tuple[dict, list]:
     from .git_geometry import singular_candidates
 
     w = args.w or (args.n - 1, args.n)
@@ -324,8 +272,7 @@ def cmd_candidates(args) -> int:
     lines = [
         f"{len(candidates.members)} cosets, {candidates.l_size} candidate points"
     ] + [f"  {a} ~ {b}" for a, b in candidates.pairs]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,6 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="accepted and unused")
         return p
 
+    def add_window(p, n_required=True):
+        p.add_argument("--n", type=int, required=n_required)
+        p.add_argument("--v", type=_pair, default=None)
+        p.add_argument("--w", type=_pair, default=None)
+
     p = add("minimal", cmd_minimal, help="minimal (semi)stable Schubert indices")
     p.add_argument("--n", type=int, required=True)
 
@@ -351,29 +303,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
 
     p = add("basis", cmd_basis, help="standard or invariant monomial basis")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", type=_pair, default=None)
-    p.add_argument("--w", type=_pair, default=None)
+    add_window(p)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--kind", choices=["standard", "invariant"], default="standard")
 
     p = add("straighten", cmd_straighten, help="standard-monomial normal form")
     p.add_argument("expr")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", type=_pair, default=None)
-    p.add_argument("--w", type=_pair, default=None)
+    add_window(p)
 
     p = add("relations", cmd_relations, help="kernel of the multiplication map")
     p.add_argument("--case", choices=CASE_NAMES, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--v", type=_pair, default=None)
-    p.add_argument("--w", type=_pair, default=None)
+    add_window(p, n_required=False)
     p.add_argument("--degree", type=int, default=2)
 
     p = add("verify", cmd_verify, help="verify one identity on a window")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", type=_pair, default=None)
-    p.add_argument("--w", type=_pair, default=None)
+    add_window(p)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
 
@@ -404,16 +348,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, *verdict = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    # A singular count has about 0.3 n digits: print it whatever its length,
+    # then restore the interpreter's limit on converting an int to text.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            print(json.dumps(payload))
+        else:
+            for line in lines:
+                print(line)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    return 0 if all(verdict) else 1
 
 
 if __name__ == "__main__":

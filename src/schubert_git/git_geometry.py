@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations, islice
 from math import comb
+from typing import NamedTuple
 
 from .weyl import (
     Pair,
@@ -83,39 +84,15 @@ def witness_monomial(subset: Subset, n: int) -> tuple[Pair, ...]:
     return tuple(sorted(sorted_pair(perm[k], perm[half + k]) for k in range(half)))
 
 
-class SingularCandidateSet:
+class SingularCandidateSet(NamedTuple):
     """Candidate singular points of the quotient of X(w): the member
     cosets, their complementation pairs and the number of pairs."""
 
-    __slots__ = ("n", "w", "members", "pairs", "l_size")
-
-    def __init__(
-        self,
-        n: int,
-        w: Pair,
-        members: tuple[Subset, ...],
-        pairs: tuple[tuple[Subset, Subset], ...],
-        l_size: int,
-    ) -> None:
-        self.n = n
-        self.w = w
-        self.members = members
-        self.pairs = pairs
-        self.l_size = l_size
-
-    def _fields(self) -> tuple:
-        return (self.n, self.w, self.members, self.pairs, self.l_size)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SingularCandidateSet:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return (
-            "SingularCandidateSet(n={!r}, w={!r}, members={!r}, pairs={!r}, "
-            "l_size={!r})".format(*self._fields())
-        )
+    n: int
+    w: Pair
+    members: tuple[Subset, ...]
+    pairs: tuple[tuple[Subset, Subset], ...]
+    l_size: int
 
 
 def singular_count(n: int) -> int:
@@ -189,9 +166,7 @@ def singular_candidates(w: Pair, n: int, seed: int = 0) -> SingularCandidateSet:
         raise RuntimeError(
             f"candidate set is not closed under complementation at {subset}"
         )
-    # Collected in a list and then copied: a tuple grown in place from the
-    # iterator raised the benchmark's peak RSS by about 0.2 MB at n = 18.
-    pairs = tuple(list(zip(islice(members, half), reversed(members))))
+    pairs = tuple(zip(islice(members, half), reversed(members)))
     return SingularCandidateSet(n, w, members, pairs, half)
 
 

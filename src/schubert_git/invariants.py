@@ -138,21 +138,17 @@ def hilbert_count(support: SupportRange, d: int) -> int:
     (``m = d*n/2``) is a two-row semistandard tableau of content
     ``(d, ..., d)``: the a's are its top row and the b's its bottom row, so
     ``a_i < b_i`` is column strictness, and the window bounds each row's
-    entries, ``v_0 <= a_i <= w_0`` and ``v_1 <= b_i <= w_1``.  Degrees
-    two and up count these tableaux value by value, in O(n*m*d) steps:
+    entries, ``v_0 <= a_i <= w_0`` and ``v_1 <= b_i <= w_1``.  Every degree,
+    one included, counts these tableaux value by value, in O(n*m*d) steps:
     after the values up to k the state is the number r of top-row entries
     (the bottom row holds ``d*k - r``), and value k puts x copies in the
     top row and ``d - x`` in the bottom row.  The columns stay strict iff
     the new bottom count is at most the old top count, ``d*k - r - x <= r``.
-    Degree one goes through :func:`invariant_basis` and its pinned-table
-    check.
 
     >>> hilbert_count(SupportRange.full(16), 3)
     8976188
     """
     _check_degree(support, d)
-    if d == 1:
-        return len(invariant_basis(support, d))
     n, (v0, v1), (w0, w1) = support.n, support.v, support.w
     m = d * n // 2
     ways = [1] + [0] * m  # ways[r]: partial tableaux with r top-row entries

@@ -16,7 +16,7 @@ from .poly import Poly
 from .straightening import Straightener, SupportRange, straighten
 
 if TYPE_CHECKING:
-    from .case_studies import Identity
+    from .case_studies import CaseStudy, Identity
 
 
 def verify_identity(lhs: Poly, rhs: Poly, support: SupportRange) -> bool:
@@ -83,9 +83,7 @@ def _run_checks(
     return SuiteReport(case_name, tuple(records))
 
 
-def case_suite(name: str) -> SuiteReport:
-    """Verify every recorded identity of one explicit case study,
-    including its presentation relations."""
+def _case(name: str) -> CaseStudy:
     from . import case_studies
 
     case = case_studies.CASES.get(name)
@@ -93,6 +91,15 @@ def case_suite(name: str) -> SuiteReport:
         raise ValueError(
             f"unknown case {name!r}; expected one of {sorted(case_studies.CASES)}"
         )
+    return case
+
+
+def case_suite(name: str) -> SuiteReport:
+    """Verify every recorded identity of one explicit case study,
+    including its presentation relations."""
+    from . import case_studies
+
+    case = _case(name)
     support = SupportRange(case.n, case.v, case.w)
     identities = list(case.identities) + case_studies.case_kernel_identities(case)
     return _run_checks(case.name, identities, support)
@@ -156,13 +163,7 @@ def jacobian(
 def case_jacobian(name: str, point: Sequence[Fraction | int]) -> JacobianReport:
     """Jacobian of a case study's presentation at a point, with the
     codimension target #generators - dim(quotient) built in."""
-    from . import case_studies
-
-    case = case_studies.CASES.get(name)
-    if case is None:
-        raise ValueError(
-            f"unknown case {name!r}; expected one of {sorted(case_studies.CASES)}"
-        )
+    case = _case(name)
     if len(point) != len(case.generators):
         raise ValueError(
             f"case {name} has {len(case.generators)} generators, "

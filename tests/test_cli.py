@@ -1,14 +1,18 @@
 import argparse
 import json
+import shlex
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from schubert_git import case_studies, cli, straightening
 from schubert_git.cli import main
 from schubert_git.straightening import StraighteningLimit
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -258,3 +262,49 @@ def test_console_entry_point_subprocess():
         "w_ss_min": [5, 10],
         "w_s_min": [6, 10],
     }
+
+
+# One command line per subcommand, the false identity for verify.
+HANDLER_ARGV = [
+    ["minimal", "--n", "6"],
+    ["stability", "--n", "6", "--w", "4,6"],
+    ["basis", "--n", "6", "--degree", "1", "--kind", "invariant"],
+    ["straighten", "p[2,5]*p[3,4]", "--n", "6"],
+    ["relations", "--case", "g26"],
+    ["verify", "--n", "6", "--lhs", "p[1,2]", "--rhs", "p[1,3]"],
+    ["reproduce", "--case", "g26"],
+    ["jacobian", "--case", "g26", "--point", "1,0,0,0,0"],
+    ["confluence", "--symbols", "4"],
+    ["singular-count", "--n", "6"],
+    ["candidates", "--n", "6"],
+]
+
+
+def test_handlers_return_records_and_print_nothing(capsys):
+    # main is the one place that prints: a handler returns its payload, its
+    # text lines and, where the subcommand has one, its verdict.
+    verdicts = {}
+    for argv in HANDLER_ARGV:
+        args = cli.build_parser().parse_args(argv)
+        payload, lines, *verdict = args.func(args)
+        assert capsys.readouterr().out == ""
+        assert isinstance(payload, dict) and isinstance(lines, list) and lines
+        verdicts[args.func.__name__] = verdict
+    assert set(verdicts) == {name for name in vars(cli) if name.startswith("cmd_")}
+    assert {name: v for name, v in verdicts.items() if v} == {
+        "cmd_verify": [False],
+        "cmd_reproduce": [True],
+        "cmd_confluence": [True],
+    }
+
+
+def test_readme_cli_block_runs(capsys):
+    block = (ROOT / "README.md").read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 13 and all(words[0] == "schubert-git" for words in commands)
+    for words in commands:
+        assert main(words[1:]) == 0, words
+    # The refusals the block documents in its comments.
+    assert "12 and up exit 2" in block and "n >= 24 exits 2" in block
+    assert main(["confluence", "--symbols", "12"]) == 2
+    assert main(["candidates", "--n", "24"]) == 2

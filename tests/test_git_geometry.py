@@ -377,3 +377,7 @@ def test_candidate_set_is_a_value():
     assert repr(a).startswith("SingularCandidateSet(n=8, w=(6, 8), members=((1, 2, 3, 4), ")
     assert repr(a).endswith(", l_size=15)")
     assert SingularCandidateSet(4, (3, 4), (), (), 0) == SingularCandidateSet(4, (3, 4), (), (), 0)
+    assert hash(a) == hash(b)
+    assert len({a, b, singular_candidates((7, 8), 8)}) == 2
+    with pytest.raises(AttributeError):
+        a.l_size = 0

@@ -120,6 +120,19 @@ def test_hilbert_count_matches_enumeration_on_random_windows():
     assert shifted >= 100 and nonzero >= 300
 
 
+def test_degree_one_hilbert_count_matches_enumeration_on_every_window():
+    windows = 0
+    for n in range(4, 11, 2):
+        pairs = coset_reps(n, 2)
+        for v in pairs:
+            for w in pairs:
+                if bruhat_leq(v, w):
+                    support = SupportRange(n, v, w)
+                    assert hilbert_count(support, 1) == len(invariant_basis(support, 1)), support
+                    windows += 1
+    assert windows == 1286
+
+
 def _kostka_two_row(n: int, d: int) -> int:
     """K_{(dn/2, dn/2), (d^n)} by Jacobi-Trudi: M(dn/2) - M(dn/2 + 1), where
     M(a) counts the vectors in [0, d]^n with sum a."""
@@ -131,8 +144,7 @@ def _kostka_two_row(n: int, d: int) -> int:
 
 @pytest.mark.parametrize("n", range(4, 25, 2))
 def test_full_window_hilbert_counts_are_kostka_numbers(n):
-    # Degree one enumerates its chains, so it stops at n = 16 (1430 chains).
-    for d in range(1 if n <= 16 else 2, 5):
+    for d in range(1, 5):
         assert hilbert_count(SupportRange.full(n), d) == _kostka_two_row(n, d)
 
 
