@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """One-shot reproduction run: every recorded identity suite, the relation
-kernels, the section-space dimensions, the confluence check, and the
-singular counts, with a summary table.  Exits 1 if anything fails."""
+kernels, the section-space dimensions, the paper's two Jacobian verdicts,
+the confluence check, and the singular counts, with a summary table.
+Exits 1 if anything fails."""
 
 import sys
 import time
@@ -9,7 +10,7 @@ import time
 from schubert_git import case_studies
 from schubert_git.formal import format_formal
 from schubert_git.invariants import hilbert_count, multiplication_kernel
-from schubert_git.presentations import case_suite, toric_suite
+from schubert_git.presentations import case_jacobian, case_suite, toric_suite
 from schubert_git.rewriting import (
     confluence_check,
     matching_probes,
@@ -60,6 +61,16 @@ def main() -> int:
         count = hilbert_count(SupportRange.full(n), 3)
         print(f"  full n={n}: degree 3 -> {count}, Kostka {kostka}")
         failures += count != kostka
+
+    print("== jacobians ==")
+    # The paper's points: the cone point e_1 of g26 and e_9 of x68.
+    for name, k, paper_rank in (("g26", 1, 0), ("x68", 9, 2)):
+        case = case_studies.CASES[name]
+        point = [int(j == k) for j in range(1, len(case.generators) + 1)]
+        rep = case_jacobian(name, point)
+        verdict = "singular" if rep.singular else "nonsingular"
+        print(f"  {name} at e_{k}: rank {rep.rank} vs codimension {rep.codim_target}: {verdict}")
+        failures += rep.rank != paper_rank or not rep.singular
 
     print("== confluence ==")
     rep = confluence_check(nesting_reduction_system(6), matching_probes(6))

@@ -8,6 +8,19 @@ and cubic identities relating them, and the polynomial relations that
 present the quotient ring.  The identity suites and acceptance checks
 verify every one of these by straightening.
 
+Each case is stated once, as one table of data:
+
+- ``generators`` and ``auxiliaries`` map a label to its standard monomial,
+  a sorted tuple of index pairs;
+- ``identities`` are ``(label, lhs, rhs)`` triples, each side a signed sum
+  of label products such as ``"Y_1 - X_2 X_5 + X_4 X_4"``, or ``"0"``;
+- ``presentation`` holds sums of the same kind over the generators.
+
+Every polynomial is read from that text by concatenating monomials: on an
+identity's sides a label stands for its Pluecker monomial, and in a
+presentation relation the k-th generator stands for the formal variable
+``x_k``.  No polynomial is multiplied.
+
 Also here: the closed-form generator families for the small windows whose
 quotients are projective spaces (generators ``X_t``) and toric varieties
 (generators ``Y_{i,j}``).
@@ -21,11 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
-from typing import NamedTuple
+from itertools import chain, combinations
+from typing import Iterable, Mapping, NamedTuple
 
-from .formal import substitute, x_monomial, xvar, yvar
-from .plucker import pmono
+from .formal import yvar
 from .poly import Monomial, Poly
 from .weyl import Pair
 
@@ -63,262 +75,207 @@ class CaseStudy(NamedTuple):
     def generator_monomials(self) -> tuple[Monomial, ...]:
         return tuple(m for _, m in self.generators)
 
-    def generator_values(self) -> list[Poly]:
-        return [pmono(m) for m in self.generator_monomials]
+
+_TABLES = (
+    dict(
+        name="g26", n=6, v=(1, 2), w=(5, 6), presentation_degree=3, codim_target=1,
+        generators={
+            "X_1": ((1, 4), (2, 5), (3, 6)),
+            "X_2": ((1, 2), (3, 5), (4, 6)),
+            "X_3": ((1, 3), (2, 5), (4, 6)),
+            "X_4": ((1, 2), (3, 4), (5, 6)),
+            "X_5": ((1, 3), (2, 4), (5, 6)),
+        },
+        auxiliaries={
+            "Y_1": ((1, 2), (1, 4), (2, 4), (3, 5), (3, 6), (5, 6)),
+            "Y_2": ((1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)),
+            "W_1": ((1, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6), (5, 6)),
+            "W_2": ((1, 2), (1, 2), (1, 3), (2, 3), (3, 5), (4, 5), (4, 6), (4, 6), (5, 6)),
+            "W_3": ((1, 2), (1, 3), (1, 3), (2, 3), (2, 4), (4, 5), (4, 6), (5, 6), (5, 6)),
+        },
+        identities=(
+            ("quad-1", "X_1 X_4", "Y_1 - X_2 X_5 + X_4 X_5 - X_4 X_4 + X_2 X_4"),
+            ("quad-2", "X_3 X_4", "X_2 X_5 - Y_2"),
+            ("cubic-1", "X_4 X_4 X_3", "X_2 X_4 X_5 - W_1"),
+            (
+                "cubic-2",
+                "X_1 X_3 X_4",
+                "X_1 X_2 X_5 - X_2 X_3 X_5 + X_2 X_2 X_5 - W_2"
+                " + X_2 X_5 X_5 - W_3 - X_2 X_4 X_5 + W_1",
+            ),
+            ("cubic-3", "X_2 X_3 X_4", "X_2 X_2 X_5 - W_2"),
+            ("cubic-4", "X_3 X_4 X_5", "X_2 X_5 X_5 - W_3"),
+            (
+                "cubic-F",
+                "X_3 X_4 X_4 - X_1 X_2 X_5 + X_1 X_3 X_4"
+                " - X_2 X_3 X_4 + X_2 X_3 X_5 - X_3 X_4 X_5",
+                "0",
+            ),
+        ),
+        presentation=(
+            "X_3 X_4 X_4 - X_1 X_2 X_5 + X_1 X_3 X_4"
+            " - X_2 X_3 X_4 + X_2 X_3 X_5 - X_3 X_4 X_5",
+        ),
+    ),
+    dict(
+        name="x68", n=8, v=(1, 2), w=(6, 8), presentation_degree=2, codim_target=4,
+        generators={
+            "X_1": ((1, 2), (3, 4), (5, 7), (6, 8)),
+            "X_2": ((1, 2), (3, 5), (4, 7), (6, 8)),
+            "X_3": ((1, 3), (2, 5), (4, 7), (6, 8)),
+            "X_4": ((1, 3), (2, 4), (5, 7), (6, 8)),
+            "X_5": ((1, 4), (2, 5), (3, 7), (6, 8)),
+            "X_6": ((1, 4), (2, 6), (3, 7), (5, 8)),
+            "X_7": ((1, 3), (2, 6), (4, 7), (5, 8)),
+            "X_8": ((1, 2), (3, 6), (4, 7), (5, 8)),
+            "X_9": ((1, 5), (2, 6), (3, 7), (4, 8)),
+        },
+        auxiliaries={
+            "Y_1": ((1, 2), (1, 3), (2, 3), (4, 5), (4, 7), (5, 7), (6, 8), (6, 8)),
+            "Y_2": ((1, 2), (1, 4), (2, 4), (3, 5), (3, 7), (5, 7), (6, 8), (6, 8)),
+            "Y_3": ((1, 2), (1, 4), (2, 4), (3, 6), (3, 7), (5, 7), (5, 8), (6, 8)),
+            "Y_4": ((1, 2), (1, 3), (2, 3), (4, 6), (4, 7), (5, 7), (5, 8), (6, 8)),
+            "Y_5": ((1, 2), (1, 5), (2, 5), (3, 6), (3, 7), (4, 7), (4, 8), (6, 8)),
+        },
+        identities=(
+            ("quad-1", "X_1 X_3", "X_2 X_4 - Y_1"),
+            ("quad-2", "X_1 X_5", "Y_2 - X_2 X_4 + X_1 X_2 + X_1 X_4 - X_1 X_1"),
+            ("quad-3", "X_1 X_6", "Y_3 - X_4 X_8 + X_1 X_8 + X_1 X_4 - X_1 X_1"),
+            ("quad-4", "X_1 X_7", "X_4 X_8 - Y_4"),
+            ("quad-5", "X_1 X_9", "X_5 X_8 - X_3 X_8 + X_1 X_8 + X_2 X_4 - X_1 X_2 - Y_1"),
+            ("quad-6", "X_2 X_6", "X_5 X_8 - X_4 X_8 + X_1 X_8 + X_2 X_4 - X_1 X_2"),
+            ("quad-7", "X_2 X_7", "X_3 X_8 - Y_4 + Y_1"),
+            ("quad-8", "X_2 X_9", "Y_5 - X_3 X_8 + X_2 X_8 + X_2 X_3 - X_2 X_2"),
+            ("quad-9", "X_4 X_9", "X_3 X_6 - X_3 X_8 + X_4 X_8 - Y_1"),
+        ),
+        presentation=(
+            "X_2 X_6 - X_5 X_8 + X_4 X_8 - X_1 X_8 - X_2 X_4 + X_1 X_2",
+            "X_1 X_3 - X_2 X_4 + X_3 X_6 - X_3 X_8 + X_4 X_8 - X_4 X_9",
+            "X_2 X_7 - X_1 X_7 - X_3 X_6 + X_4 X_9",
+            "X_3 X_6 - X_5 X_7",
+            "X_1 X_3 - X_2 X_4 + X_2 X_6 - X_3 X_8 + X_4 X_8 - X_1 X_9",
+        ),
+    ),
+    dict(
+        name="x710", n=10, v=(1, 2), w=(7, 10), presentation_degree=2, codim_target=8,
+        generators={
+            "X_1": ((1, 2), (3, 4), (5, 8), (6, 9), (7, 10)),
+            "X_2": ((1, 2), (3, 5), (4, 8), (6, 9), (7, 10)),
+            "X_3": ((1, 2), (3, 6), (4, 8), (5, 9), (7, 10)),
+            "X_4": ((1, 2), (3, 7), (4, 8), (5, 9), (6, 10)),
+            "X_5": ((1, 3), (2, 6), (4, 8), (5, 9), (7, 10)),
+            "X_6": ((1, 3), (2, 5), (4, 8), (6, 9), (7, 10)),
+            "X_7": ((1, 3), (2, 4), (5, 8), (6, 9), (7, 10)),
+            "X_8": ((1, 3), (2, 7), (4, 8), (5, 9), (6, 10)),
+            "X_9": ((1, 4), (2, 6), (3, 8), (5, 9), (7, 10)),
+            "X_10": ((1, 4), (2, 5), (3, 8), (6, 9), (7, 10)),
+            "X_11": ((1, 4), (2, 7), (3, 8), (5, 9), (6, 10)),
+            "X_12": ((1, 5), (2, 6), (3, 8), (4, 9), (7, 10)),
+            "X_13": ((1, 5), (2, 7), (3, 8), (4, 9), (6, 10)),
+            "X_14": ((1, 6), (2, 7), (3, 8), (4, 9), (5, 10)),
+        },
+        auxiliaries={
+            "Y_1": (
+                (1, 2), (1, 3), (2, 3), (4, 7), (4, 8),
+                (5, 8), (5, 9), (6, 9), (6, 10), (7, 10),
+            ),
+            "Y_2": (
+                (1, 2), (1, 3), (2, 3), (4, 6), (4, 8),
+                (5, 8), (5, 9), (6, 9), (7, 10), (7, 10),
+            ),
+            "Y_3": (
+                (1, 2), (1, 3), (2, 3), (4, 5), (4, 8),
+                (5, 8), (6, 9), (6, 9), (7, 10), (7, 10),
+            ),
+        },
+        identities=(
+            ("aux-1", "Y_1", "X_4 X_7 - X_1 X_8"),
+            ("aux-2", "Y_2", "X_3 X_7 - X_1 X_5"),
+            ("aux-3", "Y_3", "X_2 X_7 - X_1 X_6"),
+        ),
+        presentation=(
+            "X_2 X_9 - X_3 X_10 + X_3 X_7 - X_1 X_3 - X_2 X_7 + X_1 X_2",
+            "X_2 X_11 - X_4 X_10 + X_4 X_7 - X_1 X_4 - X_2 X_7 + X_1 X_2",
+            "X_3 X_8 - X_4 X_5 - X_1 X_8 + X_4 X_7 - X_3 X_7 + X_1 X_5",
+            "X_3 X_13 - X_4 X_12 + X_4 X_6 - X_2 X_4 - X_3 X_6 + X_2 X_3",
+            "X_3 X_11 - X_4 X_9 + X_4 X_7 - X_1 X_4 - X_3 X_7 + X_1 X_3",
+            "X_10 X_14 - X_9 X_13 + X_4 X_9 - X_4 X_10"
+            " + X_3 X_7 - X_1 X_3 - X_2 X_7 + X_1 X_2",
+            "X_5 X_10 - X_6 X_9",
+            "X_8 X_12 - X_5 X_13",
+            "X_5 X_11 - X_8 X_9",
+            "X_6 X_11 - X_8 X_10",
+            "X_9 X_13 - X_11 X_12",
+            "X_2 X_8 - X_4 X_6 - X_2 X_7 + X_4 X_7 - X_1 X_8 + X_1 X_6",
+            "X_2 X_5 - X_3 X_6 + X_3 X_7 - X_1 X_5 + X_1 X_6 - X_2 X_7",
+            "X_1 X_14 - X_4 X_9 + X_4 X_5 - X_1 X_4 + X_1 X_3 - X_1 X_5",
+            "X_1 X_13 - X_4 X_10 + X_4 X_6 - X_1 X_4 - X_1 X_6 + X_1 X_2",
+            "X_1 X_12 - X_3 X_10 + X_3 X_6 - X_1 X_3 - X_1 X_6 + X_1 X_2",
+            "X_7 X_14 - X_8 X_9 + X_4 X_5 - X_4 X_7 + X_3 X_7 - X_1 X_5",
+            "X_6 X_14 - X_8 X_12 + X_4 X_5 - X_4 X_6"
+            " + X_3 X_7 - X_1 X_5 + X_1 X_6 - X_2 X_7",
+            "X_2 X_14 - X_4 X_12 + X_4 X_5 - X_2 X_4 - X_3 X_6"
+            " + X_2 X_3 + X_3 X_7 - X_1 X_5 + X_1 X_6 - X_2 X_7",
+            "X_7 X_12 - X_5 X_10 + X_3 X_6 - X_3 X_7 + X_2 X_7 - X_1 X_6",
+            "X_7 X_13 - X_8 X_10 + X_4 X_6 - X_4 X_7 + X_2 X_7 - X_1 X_6",
+        ),
+    ),
+)
 
 
-def _g26() -> CaseStudy:
-    X = {
-        1: _mono((1, 4), (2, 5), (3, 6)),
-        2: _mono((1, 2), (3, 5), (4, 6)),
-        3: _mono((1, 3), (2, 5), (4, 6)),
-        4: _mono((1, 2), (3, 4), (5, 6)),
-        5: _mono((1, 3), (2, 4), (5, 6)),
-    }
-    Y = {
-        1: _mono((1, 2), (1, 4), (2, 4), (3, 5), (3, 6), (5, 6)),
-        2: _mono((1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)),
-    }
-    W = {
-        1: _mono((1, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6), (5, 6)),
-        2: _mono((1, 2), (1, 2), (1, 3), (2, 3), (3, 5), (4, 5), (4, 6), (4, 6), (5, 6)),
-        3: _mono((1, 2), (1, 3), (1, 3), (2, 3), (2, 4), (4, 5), (4, 6), (5, 6), (5, 6)),
-    }
-    x = {k: pmono(m) for k, m in X.items()}
-    y = {k: pmono(m) for k, m in Y.items()}
-    w = {k: pmono(m) for k, m in W.items()}
-    hypersurface = (
-        xvar(3) * xvar(4) ** 2
-        - xvar(1) * xvar(2) * xvar(5)
-        + xvar(1) * xvar(3) * xvar(4)
-        - xvar(2) * xvar(3) * xvar(4)
-        + xvar(2) * xvar(3) * xvar(5)
-        - xvar(3) * xvar(4) * xvar(5)
-    )
-    identities = (
-        Identity(
-            "quad-1",
-            x[1] * x[4],
-            y[1] - x[2] * x[5] + x[4] * x[5] - x[4] * x[4] + x[2] * x[4],
-        ),
-        Identity("quad-2", x[3] * x[4], x[2] * x[5] - y[2]),
-        Identity("cubic-1", x[4] * x[4] * x[3], x[2] * x[4] * x[5] - w[1]),
-        Identity(
-            "cubic-2",
-            x[1] * x[3] * x[4],
-            x[1] * x[2] * x[5]
-            - x[2] * x[3] * x[5]
-            + x[2] * x[2] * x[5]
-            - w[2]
-            + x[2] * x[5] * x[5]
-            - w[3]
-            - x[2] * x[4] * x[5]
-            + w[1],
-        ),
-        Identity("cubic-3", x[2] * x[3] * x[4], x[2] * x[2] * x[5] - w[2]),
-        Identity("cubic-4", x[3] * x[4] * x[5], x[2] * x[5] * x[5] - w[3]),
-        Identity(
-            "cubic-F",
-            pmono(X[3]) * pmono(X[4]) ** 2
-            - pmono(X[1]) * pmono(X[2]) * pmono(X[5])
-            + pmono(X[1]) * pmono(X[3]) * pmono(X[4])
-            - pmono(X[2]) * pmono(X[3]) * pmono(X[4])
-            + pmono(X[2]) * pmono(X[3]) * pmono(X[5])
-            - pmono(X[3]) * pmono(X[4]) * pmono(X[5]),
-            Poly.zero(),
-        ),
-    )
+def _expand(terms: Iterable[tuple[Iterable, int]], monomials: Mapping) -> Poly:
+    """The sum of ``coeff * product`` over ``(labels, coeff)`` terms, where a
+    product is the concatenation of its labels' monomials."""
+    out: dict[Monomial, int] = {}
+    for labels, coeff in terms:
+        mono = tuple(sorted(chain.from_iterable(monomials[label] for label in labels)))
+        out[mono] = out.get(mono, 0) + coeff
+    return Poly(out)
+
+
+def _read(text: str, monomials: Mapping[str, Monomial]) -> Poly:
+    """A signed sum of label products, ``"0"`` for the empty sum, as a
+    polynomial over the labels' monomials.
+
+    >>> labels = {"X_1": ((1, 2),), "X_2": ((3, 4),), "Y": ((1, 3), (2, 4))}
+    >>> _read("X_1 X_2 - Y + X_2 X_1", labels).terms
+    {((1, 2), (3, 4)): 2, ((1, 3), (2, 4)): -1}
+    >>> _read("X_2 X_2 - X_1", {"X_1": (("x", 1),), "X_2": (("x", 2),)}).terms
+    {(('x', 2), ('x', 2)): 1, (('x', 1),): -1}
+    """
+    terms: list[tuple[list[str], int]] = []
+    sign, labels = 1, []
+    for word in ([] if text == "0" else text.split()) + ["+"]:
+        if word in ("+", "-"):
+            if labels:
+                terms.append((labels, sign))
+            sign, labels = (-1 if word == "-" else 1), []
+        else:
+            labels.append(word)
+    return _expand(terms, monomials)
+
+
+def _build(
+    generators: dict, auxiliaries: dict, identities: tuple, presentation: tuple, **fields
+) -> CaseStudy:
+    """One case table read into its ``CaseStudy``."""
+    plucker = {**generators, **auxiliaries}
+    formal = {label: (("x", k),) for k, label in enumerate(generators, start=1)}
     return CaseStudy(
-        name="g26",
-        n=6,
-        v=(1, 2),
-        w=(5, 6),
-        generators=tuple((f"X_{k}", X[k]) for k in sorted(X)),
-        auxiliaries=tuple(
-            [(f"Y_{k}", Y[k]) for k in sorted(Y)] + [(f"W_{k}", W[k]) for k in sorted(W)]
+        generators=tuple(generators.items()),
+        auxiliaries=tuple(auxiliaries.items()),
+        identities=tuple(
+            Identity(label, _read(lhs, plucker), _read(rhs, plucker))
+            for label, lhs, rhs in identities
         ),
-        identities=identities,
-        presentation=(hypersurface,),
-        presentation_degree=3,
-        codim_target=1,
-    )
-
-
-def _x68() -> CaseStudy:
-    X = {
-        1: _mono((1, 2), (3, 4), (5, 7), (6, 8)),
-        2: _mono((1, 2), (3, 5), (4, 7), (6, 8)),
-        3: _mono((1, 3), (2, 5), (4, 7), (6, 8)),
-        4: _mono((1, 3), (2, 4), (5, 7), (6, 8)),
-        5: _mono((1, 4), (2, 5), (3, 7), (6, 8)),
-        6: _mono((1, 4), (2, 6), (3, 7), (5, 8)),
-        7: _mono((1, 3), (2, 6), (4, 7), (5, 8)),
-        8: _mono((1, 2), (3, 6), (4, 7), (5, 8)),
-        9: _mono((1, 5), (2, 6), (3, 7), (4, 8)),
-    }
-    Y = {
-        1: _mono((1, 2), (1, 3), (2, 3), (4, 5), (4, 7), (5, 7), (6, 8), (6, 8)),
-        2: _mono((1, 2), (1, 4), (2, 4), (3, 5), (3, 7), (5, 7), (6, 8), (6, 8)),
-        3: _mono((1, 2), (1, 4), (2, 4), (3, 6), (3, 7), (5, 7), (5, 8), (6, 8)),
-        4: _mono((1, 2), (1, 3), (2, 3), (4, 6), (4, 7), (5, 7), (5, 8), (6, 8)),
-        5: _mono((1, 2), (1, 5), (2, 5), (3, 6), (3, 7), (4, 7), (4, 8), (6, 8)),
-    }
-    x = {k: pmono(m) for k, m in X.items()}
-    y = {k: pmono(m) for k, m in Y.items()}
-    identities = (
-        Identity("quad-1", x[1] * x[3], x[2] * x[4] - y[1]),
-        Identity(
-            "quad-2",
-            x[1] * x[5],
-            y[2] - x[2] * x[4] + x[1] * x[2] + x[1] * x[4] - x[1] * x[1],
-        ),
-        Identity(
-            "quad-3",
-            x[1] * x[6],
-            y[3] - x[4] * x[8] + x[1] * x[8] + x[1] * x[4] - x[1] * x[1],
-        ),
-        Identity("quad-4", x[1] * x[7], x[4] * x[8] - y[4]),
-        Identity(
-            "quad-5",
-            x[1] * x[9],
-            x[5] * x[8] - x[3] * x[8] + x[1] * x[8] + x[2] * x[4] - x[1] * x[2] - y[1],
-        ),
-        Identity(
-            "quad-6",
-            x[2] * x[6],
-            x[5] * x[8] - x[4] * x[8] + x[1] * x[8] + x[2] * x[4] - x[1] * x[2],
-        ),
-        Identity("quad-7", x[2] * x[7], x[3] * x[8] - y[4] + y[1]),
-        Identity(
-            "quad-8",
-            x[2] * x[9],
-            y[5] - x[3] * x[8] + x[2] * x[8] + x[2] * x[3] - x[2] * x[2],
-        ),
-        Identity(
-            "quad-9",
-            x[4] * x[9],
-            x[3] * x[6] - x[3] * x[8] + x[4] * x[8] - y[1],
-        ),
-    )
-    presentation = (
-        x_monomial((2, 6)) - x_monomial((5, 8)) + x_monomial((4, 8))
-        - x_monomial((1, 8)) - x_monomial((2, 4)) + x_monomial((1, 2)),
-        x_monomial((1, 3)) - x_monomial((2, 4)) + x_monomial((3, 6))
-        - x_monomial((3, 8)) + x_monomial((4, 8)) - x_monomial((4, 9)),
-        x_monomial((2, 7)) - x_monomial((1, 7)) - x_monomial((3, 6))
-        + x_monomial((4, 9)),
-        x_monomial((3, 6)) - x_monomial((5, 7)),
-        x_monomial((1, 3)) - x_monomial((2, 4)) + x_monomial((2, 6))
-        - x_monomial((3, 8)) + x_monomial((4, 8)) - x_monomial((1, 9)),
-    )
-    return CaseStudy(
-        name="x68",
-        n=8,
-        v=(1, 2),
-        w=(6, 8),
-        generators=tuple((f"X_{k}", X[k]) for k in sorted(X)),
-        auxiliaries=tuple((f"Y_{k}", Y[k]) for k in sorted(Y)),
-        identities=identities,
-        presentation=presentation,
-        presentation_degree=2,
-        codim_target=4,
-    )
-
-
-def _x710() -> CaseStudy:
-    X = {
-        1: _mono((1, 2), (3, 4), (5, 8), (6, 9), (7, 10)),
-        2: _mono((1, 2), (3, 5), (4, 8), (6, 9), (7, 10)),
-        3: _mono((1, 2), (3, 6), (4, 8), (5, 9), (7, 10)),
-        4: _mono((1, 2), (3, 7), (4, 8), (5, 9), (6, 10)),
-        5: _mono((1, 3), (2, 6), (4, 8), (5, 9), (7, 10)),
-        6: _mono((1, 3), (2, 5), (4, 8), (6, 9), (7, 10)),
-        7: _mono((1, 3), (2, 4), (5, 8), (6, 9), (7, 10)),
-        8: _mono((1, 3), (2, 7), (4, 8), (5, 9), (6, 10)),
-        9: _mono((1, 4), (2, 6), (3, 8), (5, 9), (7, 10)),
-        10: _mono((1, 4), (2, 5), (3, 8), (6, 9), (7, 10)),
-        11: _mono((1, 4), (2, 7), (3, 8), (5, 9), (6, 10)),
-        12: _mono((1, 5), (2, 6), (3, 8), (4, 9), (7, 10)),
-        13: _mono((1, 5), (2, 7), (3, 8), (4, 9), (6, 10)),
-        14: _mono((1, 6), (2, 7), (3, 8), (4, 9), (5, 10)),
-    }
-    Y = {
-        1: _mono(
-            (1, 2), (1, 3), (2, 3), (4, 7), (4, 8),
-            (5, 8), (5, 9), (6, 9), (6, 10), (7, 10),
-        ),
-        2: _mono(
-            (1, 2), (1, 3), (2, 3), (4, 6), (4, 8),
-            (5, 8), (5, 9), (6, 9), (7, 10), (7, 10),
-        ),
-        3: _mono(
-            (1, 2), (1, 3), (2, 3), (4, 5), (4, 8),
-            (5, 8), (6, 9), (6, 9), (7, 10), (7, 10),
-        ),
-    }
-    x = {k: pmono(m) for k, m in X.items()}
-    y = {k: pmono(m) for k, m in Y.items()}
-    identities = [
-        Identity("aux-1", y[1], x[4] * x[7] - x[1] * x[8]),
-        Identity("aux-2", y[2], x[3] * x[7] - x[1] * x[5]),
-        Identity("aux-3", y[3], x[2] * x[7] - x[1] * x[6]),
-    ]
-    relation_terms: tuple[tuple[tuple[int, tuple[int, int]], ...], ...] = (
-        ((1, (2, 9)), (-1, (3, 10)), (1, (3, 7)), (-1, (1, 3)), (-1, (2, 7)), (1, (1, 2))),
-        ((1, (2, 11)), (-1, (4, 10)), (1, (4, 7)), (-1, (1, 4)), (-1, (2, 7)), (1, (1, 2))),
-        ((1, (3, 8)), (-1, (4, 5)), (-1, (1, 8)), (1, (4, 7)), (-1, (3, 7)), (1, (1, 5))),
-        ((1, (3, 13)), (-1, (4, 12)), (1, (4, 6)), (-1, (2, 4)), (-1, (3, 6)), (1, (2, 3))),
-        ((1, (3, 11)), (-1, (4, 9)), (1, (4, 7)), (-1, (1, 4)), (-1, (3, 7)), (1, (1, 3))),
-        (
-            (1, (10, 14)), (-1, (9, 13)), (1, (4, 9)), (-1, (4, 10)),
-            (1, (3, 7)), (-1, (1, 3)), (-1, (2, 7)), (1, (1, 2)),
-        ),
-        ((1, (5, 10)), (-1, (6, 9))),
-        ((1, (8, 12)), (-1, (5, 13))),
-        ((1, (5, 11)), (-1, (8, 9))),
-        ((1, (6, 11)), (-1, (8, 10))),
-        ((1, (9, 13)), (-1, (11, 12))),
-        ((1, (2, 8)), (-1, (4, 6)), (-1, (2, 7)), (1, (4, 7)), (-1, (1, 8)), (1, (1, 6))),
-        ((1, (2, 5)), (-1, (3, 6)), (1, (3, 7)), (-1, (1, 5)), (1, (1, 6)), (-1, (2, 7))),
-        ((1, (1, 14)), (-1, (4, 9)), (1, (4, 5)), (-1, (1, 4)), (1, (1, 3)), (-1, (1, 5))),
-        ((1, (1, 13)), (-1, (4, 10)), (1, (4, 6)), (-1, (1, 4)), (-1, (1, 6)), (1, (1, 2))),
-        ((1, (1, 12)), (-1, (3, 10)), (1, (3, 6)), (-1, (1, 3)), (-1, (1, 6)), (1, (1, 2))),
-        ((1, (7, 14)), (-1, (8, 9)), (1, (4, 5)), (-1, (4, 7)), (1, (3, 7)), (-1, (1, 5))),
-        (
-            (1, (6, 14)), (-1, (8, 12)), (1, (4, 5)), (-1, (4, 6)),
-            (1, (3, 7)), (-1, (1, 5)), (1, (1, 6)), (-1, (2, 7)),
-        ),
-        (
-            (1, (2, 14)), (-1, (4, 12)), (1, (4, 5)), (-1, (2, 4)), (-1, (3, 6)),
-            (1, (2, 3)), (1, (3, 7)), (-1, (1, 5)), (1, (1, 6)), (-1, (2, 7)),
-        ),
-        ((1, (7, 12)), (-1, (5, 10)), (1, (3, 6)), (-1, (3, 7)), (1, (2, 7)), (-1, (1, 6))),
-        ((1, (7, 13)), (-1, (8, 10)), (1, (4, 6)), (-1, (4, 7)), (1, (2, 7)), (-1, (1, 6))),
-    )
-    presentation = tuple(
-        sum(
-            (x_monomial(idx, coeff) for coeff, idx in terms),
-            Poly.zero(),
-        )
-        for terms in relation_terms
-    )
-    return CaseStudy(
-        name="x710",
-        n=10,
-        v=(1, 2),
-        w=(7, 10),
-        generators=tuple((f"X_{k}", X[k]) for k in sorted(X)),
-        auxiliaries=tuple((f"Y_{k}", Y[k]) for k in sorted(Y)),
-        identities=tuple(identities),
-        presentation=presentation,
-        presentation_degree=2,
-        codim_target=8,
+        presentation=tuple(_read(text, formal) for text in presentation),
+        **fields,
     )
 
 
 @cache
 def _cases() -> dict[str, CaseStudy]:
-    return {c.name: c for c in (_g26(), _x68(), _x710())}
+    return {table["name"]: _build(**table) for table in _TABLES}
 
 
 def __getattr__(name: str):
@@ -335,10 +292,9 @@ def __getattr__(name: str):
 def case_kernel_identities(case: CaseStudy) -> list[Identity]:
     """The presentation relations turned into Pluecker identities
     (substitute x_k by the k-th generator; right side zero)."""
-    values = case.generator_values()
-    table = {("x", k): values[k - 1] for k in range(1, len(values) + 1)}
+    values = {("x", k): mono for k, mono in enumerate(case.generator_monomials, start=1)}
     return [
-        Identity(f"kernel-{idx}", substitute(relation, table), Poly.zero())
+        Identity(f"kernel-{idx}", _expand(relation.terms.items(), values), Poly.zero())
         for idx, relation in enumerate(case.presentation, start=1)
     ]
 

@@ -35,17 +35,9 @@ def content(factors: Monomial, n: int) -> tuple[int, ...]:
 class GeneratorSet:
     """Labeled invariant standard monomials of one degree on a window."""
 
-    __slots__ = ("support", "degree", "labels", "monomials")
+    __slots__ = ("labels", "monomials")
 
-    def __init__(
-        self,
-        support: SupportRange,
-        degree: int,
-        labels: tuple[str, ...],
-        monomials: tuple[Monomial, ...],
-    ) -> None:
-        self.support = support
-        self.degree = degree
+    def __init__(self, labels: tuple[str, ...], monomials: tuple[Monomial, ...]) -> None:
         self.labels = labels
         self.monomials = monomials
 
@@ -126,9 +118,9 @@ def invariant_basis(support: SupportRange, d: int) -> GeneratorSet:
             )
         ordered = tuple(mono for _, mono in table)
         labels = tuple(label for label, _ in table)
-        return GeneratorSet(support, d, labels, ordered)
+        return GeneratorSet(labels, ordered)
     labels = tuple(f"m_{k}" for k in range(1, len(found) + 1))
-    return GeneratorSet(support, d, labels, tuple(found))
+    return GeneratorSet(labels, tuple(found))
 
 
 def hilbert_count(support: SupportRange, d: int) -> int:

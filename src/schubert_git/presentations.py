@@ -134,28 +134,33 @@ def jacobian(
     the singularity verdict rank < codim_target.
 
     ``point[k-1]`` is the value of ``x_k``; every variable occurring in
-    the relations must be covered.
+    the relations must be covered.  Each row is built in one pass over
+    its relation's terms: every occurrence of ``x_k`` in a term adds the
+    coefficient times the other factors' values to entry ``k``.
+
+    >>> cubic = Poly({(("x", 1), ("x", 1), ("x", 2)): 1, (("x", 2),): -3})
+    >>> [str(x) for x in jacobian([cubic], [2, 5], 1).matrix[0]]
+    ['20', '1']
     """
     from . import linalg
-    from .formal import partial_derivative
 
     values = [Fraction(x) for x in point]
-    assignment = {("x", k): values[k - 1] for k in range(1, len(values) + 1)}
-    for rel in relations:
-        for mono in rel.terms:
-            for token in mono:
-                if token not in assignment:
-                    raise ValueError(
-                        f"point of length {len(values)} does not cover {token}"
-                    )
+    index = {("x", k): k - 1 for k in range(1, len(values) + 1)}
     rows = []
     for rel in relations:
-        rows.append(
-            tuple(
-                partial_derivative(rel, ("x", k)).evaluate(assignment)
-                for k in range(1, len(values) + 1)
-            )
-        )
+        row = [Fraction(0)] * len(values)
+        for mono, coeff in rel.terms.items():
+            slots = [index.get(token) for token in mono]
+            if None in slots:
+                raise ValueError(
+                    f"point of length {len(values)} does not cover {mono[slots.index(None)]}"
+                )
+            for at, slot in enumerate(slots):
+                part = coeff
+                for other in slots[:at] + slots[at + 1 :]:
+                    part *= values[other]
+                row[slot] += part
+        rows.append(tuple(row))
     rank = linalg.rank([{k: x for k, x in enumerate(row) if x} for row in rows])
     return JacobianReport(tuple(rows), rank, codim_target)
 

@@ -5,7 +5,7 @@ import pytest
 
 from schubert_git import case_studies
 from schubert_git.case_studies import toric_presentation
-from schubert_git.formal import partial_derivative, substitute, xvar
+from schubert_git.invariants import content
 from schubert_git.plucker import evaluate, pmono, random_schubert_point
 from schubert_git.poly import Poly
 from schubert_git.presentations import (
@@ -17,6 +17,21 @@ from schubert_git.presentations import (
 )
 from schubert_git.rewriting import is_binomial_presentation
 from schubert_git.straightening import SupportRange
+
+
+def partial_derivative(p: Poly, token) -> Poly:
+    """Exact partial derivative with respect to one variable token: the
+    oracle for the one-pass Jacobian rows."""
+    out = {}
+    for mono, coeff in p.terms.items():
+        exponent = mono.count(token)
+        if not exponent:
+            continue
+        lowered = list(mono)
+        lowered.remove(token)
+        key = tuple(lowered)
+        out[key] = out.get(key, 0) + coeff * exponent
+    return Poly(out)
 
 
 def test_verify_identity_examples(g26_support, x68_support, x710_support):
@@ -181,7 +196,49 @@ def test_jacobian_dimension_mismatch():
     with pytest.raises(ValueError):
         case_jacobian("g26", [1, 0, 0])
     with pytest.raises(ValueError):
-        jacobian([xvar(3)], [1, 2], codim_target=1)
+        jacobian([Poly.variable(("x", 3))], [1, 2], codim_target=1)
+
+
+@pytest.mark.parametrize("name", ["g26", "x68", "x710"])
+def test_jacobian_rows_match_the_derivative_oracle(name):
+    # Every unit point, which includes the paper's e_1 and e_9, then seeded
+    # rational points.
+    case = case_studies.CASES[name]
+    width = len(case.generators)
+    points = [[int(j == k) for j in range(width)] for k in range(width)]
+    rng = random.Random(name)
+    points += [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(width)]
+        for _ in range(10)
+    ]
+    for point in points:
+        assignment = {("x", k): Fraction(x) for k, x in enumerate(point, start=1)}
+        expected = tuple(
+            tuple(
+                partial_derivative(rel, ("x", k)).evaluate(assignment)
+                for k in range(1, width + 1)
+            )
+            for rel in case.presentation
+        )
+        assert case_jacobian(name, point).matrix == expected
+
+
+@pytest.mark.parametrize("name", ["g26", "x68", "x710"])
+def test_case_tables_are_well_formed(name):
+    # A dropped or extra factor in a table entry shows as a term whose
+    # content vector is not (c, ..., c), or differs from its neighbours'.
+    case = case_studies.CASES[name]
+
+    def contents(*polys):
+        return {content(mono, case.n) for p in polys for mono in p.terms}
+
+    for identity in case.identities:
+        (vector,) = contents(identity.lhs, identity.rhs)
+        assert vector == (vector[0],) * case.n, identity.label
+    d = case.presentation_degree
+    for identity in case_studies.case_kernel_identities(case):
+        assert contents(identity.lhs) <= {(d,) * case.n}, identity.label
+        assert identity.rhs.is_zero
 
 
 def test_binomial_detection():
@@ -271,10 +328,6 @@ def test_toric_identities_match_per_identity_construction(n):
 def test_x710_cas_transcription_matches_recorded_relation():
     # The 12th recorded relation also circulates with its terms permuted;
     # both readings are literally the same polynomial.
-    from schubert_git.formal import x_monomial
-
-    permuted = (
-        x_monomial((1, 6)) - x_monomial((4, 6)) - x_monomial((2, 7))
-        + x_monomial((4, 7)) - x_monomial((1, 8)) + x_monomial((2, 8))
-    )
-    assert permuted == case_studies.X710.presentation[11]
+    permuted = "X_1 X_6 - X_4 X_6 - X_2 X_7 + X_4 X_7 - X_1 X_8 + X_2 X_8"
+    formal = {f"X_{k}": (("x", k),) for k in range(1, 15)}
+    assert case_studies._read(permuted, formal) == case_studies.X710.presentation[11]

@@ -29,3 +29,5 @@ def test_script_exits_zero(script):
     if script == "reproduce_all.py":
         assert "full n=14: degree 3 -> 679172," in proc.stdout
         assert "full n=16: degree 3 -> 8976188," in proc.stdout
+        assert "g26 at e_1: rank 0 vs codimension 1: singular" in proc.stdout
+        assert "x68 at e_9: rank 2 vs codimension 4: singular" in proc.stdout
