@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """One-shot reproduction run: every recorded identity suite, the relation
 kernels, the section-space dimensions, the paper's two Jacobian verdicts,
-the confluence check, and the singular counts, with a summary table.
+the confluence checks on 6 and 8 symbols, and the singular counts, with a
+summary table.
 Exits 1 if anything fails."""
 
+import math
 import sys
 import time
 
@@ -73,11 +75,15 @@ def main() -> int:
         failures += rep.rank != paper_rank or not rep.singular
 
     print("== confluence ==")
-    rep = confluence_check(nesting_reduction_system(6), matching_probes(6))
-    forms = {f for r in rep.results for f in r.normal_forms}
-    print(f"  {len(rep.results)} probes, confluent={rep.confluent}, forms={sorted(forms)}")
-    if not rep.confluent:
-        failures += 1
+    for symbols in (6, 8):
+        matchings = math.prod(range(symbols - 1, 0, -2))  # (s-1)!!, one probe each
+        rep = confluence_check(nesting_reduction_system(symbols), matching_probes(symbols))
+        forms = {f for r in rep.results for f in r.normal_forms}
+        print(
+            f"  {symbols} symbols: {len(rep.results)} probes, "
+            f"confluent={rep.confluent}, forms={sorted(forms)}"
+        )
+        failures += not rep.confluent or len(rep.results) != matchings
 
     print("== singular counts ==")
     for n in (6, 8, 10):

@@ -13,7 +13,10 @@ were spelled.  A coefficient is an ``int`` when it is integral and a
 here run on ``int`` arithmetic.  The token type only needs total ordering
 and hashability; this package uses row-index pairs ``(i, j)`` for Pluecker
 variables and tuples ``("x", k)`` or ``("y", i, j)`` for formal generators.
+The module imports :mod:`fractions` only where it builds or meets a
+``Fraction``, so integral work, such as the confluence check, never loads it.
 
+>>> from fractions import Fraction
 >>> Poly({("a",): Fraction(4, 2)}).terms == {("a",): 2}
 True
 >>> Poly({("b", "a"): 1, ("a", "b"): Fraction(1, 2)}).terms
@@ -29,8 +32,10 @@ True
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Token = Hashable
 Monomial = tuple
@@ -54,6 +59,8 @@ class Poly:
                 if mono in canon:
                     coeff += canon[mono]
                 if type(coeff) is not int:
+                    from fractions import Fraction
+
                     coeff = Fraction(coeff)
                     if coeff.denominator == 1:
                         coeff = coeff.numerator
@@ -117,12 +124,15 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly | Fraction | int") -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, int):
+                from fractions import Fraction
+
+                if not isinstance(other, Fraction):
+                    return NotImplemented
             if not other:
                 return Poly()
             return Poly({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
         out: dict[Monomial, Fraction | int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -148,6 +158,8 @@ class Poly:
 
     def evaluate(self, assignment: Mapping[Token, Fraction]) -> Fraction:
         """Substitute a value for every token; exact rational result."""
+        from fractions import Fraction
+
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             term = coeff

@@ -58,26 +58,40 @@ def _run_checks(
 ) -> SuiteReport:
     # One batch per suite: identities share many monomials (one identity's
     # right side is often the next one's left side), and the batch rewrites
-    # each distinct monomial once for every side it occurs in.
+    # each distinct monomial once for every side it occurs in.  A side
+    # object shared by several identities is one row, keyed by id(): a key
+    # on its terms would rehash its degree-20 monomials at every lookup,
+    # and ``identities`` keeps every keyed side alive.  Sides that an
+    # identity equates share one text, so a chain of passing identities
+    # formats its normal form once.
     identities = list(identities)
-    rows: dict[tuple[int, str], dict] = {}
-    for k, identity in enumerate(identities):
-        rows[k, "lhs"] = identity.lhs.terms
-        rows[k, "rhs"] = identity.rhs.terms
+    rows = {
+        id(side): side.terms
+        for identity in identities
+        for side in (identity.lhs, identity.rhs)
+    }
     normal_forms = Straightener(support).batch(rows)
+    texts: dict[int, str] = {}  # by id() of a side
+
+    def text(side: int) -> str:
+        if side not in texts:
+            texts[side] = format_plucker(Poly(normal_forms[side]))
+        return texts[side]
+
     records = []
-    for k, identity in enumerate(identities):
-        lhs_nf, rhs_nf = normal_forms[k, "lhs"], normal_forms[k, "rhs"]
-        agree = lhs_nf == rhs_nf
-        lhs_text = format_plucker(Poly(lhs_nf))
+    for identity in identities:
+        lhs, rhs = id(identity.lhs), id(identity.rhs)
+        agree = normal_forms[lhs] == normal_forms[rhs]
+        if agree:
+            # Equal normal forms print alike: a passing record prints one.
+            texts[lhs] = texts[rhs] = texts.get(lhs) or text(rhs)
         records.append(
             IdentityRecord(
                 case=case_name,
                 relation_label=identity.label,
                 status="pass" if agree else "fail",
-                lhs_normal_form=lhs_text,
-                # Equal normal forms print alike: a passing record prints one.
-                rhs_normal_form=lhs_text if agree else format_plucker(Poly(rhs_nf)),
+                lhs_normal_form=text(lhs),
+                rhs_normal_form=text(rhs),
             )
         )
     return SuiteReport(case_name, tuple(records))
@@ -116,7 +130,7 @@ def toric_suite(n: int, k: int) -> SuiteReport:
 
 
 class JacobianReport(NamedTuple):
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[Fraction | int, ...], ...]
     rank: int
     codim_target: int
 
@@ -136,7 +150,9 @@ def jacobian(
     ``point[k-1]`` is the value of ``x_k``; every variable occurring in
     the relations must be covered.  Each row is built in one pass over
     its relation's terms: every occurrence of ``x_k`` in a term adds the
-    coefficient times the other factors' values to entry ``k``.
+    coefficient times the other factors' values to entry ``k``.  Integral
+    point values are held as ``int``, so at an integral point the matrix
+    and its rank are computed over the integers.
 
     >>> cubic = Poly({(("x", 1), ("x", 1), ("x", 2)): 1, (("x", 2),): -3})
     >>> [str(x) for x in jacobian([cubic], [2, 5], 1).matrix[0]]
@@ -144,11 +160,11 @@ def jacobian(
     """
     from . import linalg
 
-    values = [Fraction(x) for x in point]
+    values = [x.numerator if x.denominator == 1 else x for x in map(Fraction, point)]
     index = {("x", k): k - 1 for k in range(1, len(values) + 1)}
     rows = []
     for rel in relations:
-        row = [Fraction(0)] * len(values)
+        row: list[Fraction | int] = [0] * len(values)
         for mono, coeff in rel.terms.items():
             slots = [index.get(token) for token in mono]
             if None in slots:

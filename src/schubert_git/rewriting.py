@@ -10,10 +10,13 @@ sub-monomial of the term of a left-side degree, not by trying every rule,
 and each step is one edit of a copy of the state's terms.
 
 The confluence check explores every reduction sequence from each probe
-breadth-first and reports the set of normal forms per probe: the system is
-confluent on the probes iff each set is a singleton.  The probes of one
-check share one rewrite graph, so every distinct state is expanded once per
-call however many probes reach it.
+and reports the set of normal forms per probe: the system is confluent on
+the probes iff each set is a singleton.  The probes of one check share one
+rewrite graph, so every distinct state is expanded once per call however
+many probes reach it, and one reachability pass over the graph's strongly
+connected components gives every state's reachable set as an int bit mask,
+shared by the states of one component.  Over V states the masks cost at
+most V²/8 bytes.
 """
 
 from __future__ import annotations
@@ -125,19 +128,26 @@ def confluence_check(
 ) -> ConfluenceReport:
     """Explore all reduction sequences from each probe monomial.
 
-    Each probe gets its own cycle-safe breadth-first walk, which takes one
-    whole level at a time as a set of state numbers, but the walks share one
-    rewrite graph per call: a state's successors are computed the first
-    time any probe reaches it, and a normal form is formatted once.
+    The probes share one rewrite graph: each state is numbered when first
+    met, and its successors are computed, once, when a depth-first walk
+    first enters it.  That walk is Tarjan's strongly connected components
+    algorithm, run from each probe not yet covered and skipping the states
+    earlier walks closed; when a component closes, its reachable set is
+    the bits of its states and the masks of their successors outside it,
+    one int shared by all its states.  Over V states the masks cost at most
+    V²/8 bytes.  A probe's normal forms are the normal-form states in its
+    mask, each formatted once, and ``states_explored`` is the mask's
+    popcount.
     The successors of a term come from the system's rule index: its
     sub-monomials of each left-side degree are looked up, and each distinct
     one that is a left side is applied once, so the cost of a state does not
     grow with the number of rules.  Neither rule
     order nor successor order can affect the result, because every
     applicable step is taken and the normal forms are sorted.
-    ``states_explored`` counts the states one probe reaches, and
-    :class:`RewriteGraphLimit` is raised when one probe reaches more than
-    ``state_cap`` states; both depend only on the reachable set.
+    :class:`RewriteGraphLimit` is raised for the first probe that reaches
+    more than ``state_cap`` states, which depends only on the reachable
+    set; a walk raises as soon as it meets that many new states, so an
+    infinite system is refused after bounded work.
 
     Two rules on the same left side give a critical pair that never joins:
 
@@ -150,37 +160,86 @@ def confluence_check(
     """
     index: dict[tuple, int] = {}  # Poly.key() -> state number
     states: list[Poly] = []
-    graph: dict[int, tuple[int, ...]] = {}
+    graph: list[tuple[int, ...]] = []  # successors, by state number
+    reach: list[int] = []  # reachable set as bits; 0 until its component closes
     forms: dict[int, str] = {}  # normal forms, by state number
+    normal = 0  # the normal-form states, as bits
 
     def number(key: tuple, poly: Poly) -> int:
-        if key not in index:
-            index[key] = len(states)
+        state = index.get(key)
+        if state is None:
+            state = index[key] = len(states)
             states.append(poly)
-        return index[key]
+            graph.append(())
+            reach.append(0)
+        return state
+
+    def expand(state: int) -> tuple[int, ...]:
+        nonlocal normal
+        steps = _steps(system, states[state])
+        successors = tuple(number(key, poly) for key, poly in steps.items())
+        if not successors:
+            forms[state] = format_formal(states[state])
+            normal |= 1 << state
+        graph[state] = successors
+        return successors
+
+    def refusal(probe: Monomial) -> RewriteGraphLimit:
+        return RewriteGraphLimit(f"more than {state_cap} states from probe {probe}")
 
     results = []
     for probe in probes:
+        start = len(states)
         first = Poly({probe: 1})
-        seen = {number(first.key(), first)}
-        frontier = seen
-        normal: set[int] = set()
-        while frontier:
-            for state in frontier.difference(graph):
-                steps = _steps(system, states[state])
-                graph[state] = tuple(number(key, p) for key, p in steps.items())
-                if not steps:
-                    forms[state] = format_formal(states[state])
-            normal |= frontier.intersection(forms)
-            frontier = set().union(*map(graph.__getitem__, frontier))
-            frontier -= seen
-            seen |= frontier
-            if len(seen) > state_cap:
-                raise RewriteGraphLimit(
-                    f"more than {state_cap} states from probe {probe}"
-                )
-        normal_forms = tuple(sorted(forms[state] for state in normal))
-        results.append(ProbeResult(tuple(sorted(probe)), normal_forms, len(seen)))
+        root = number(first.key(), first)
+        if not reach[root]:
+            # Iterative Tarjan from root: order and low link of the states
+            # entered on this walk; an entered state with no mask yet is on
+            # the component stack.
+            order = {root: 0}
+            low = {root: 0}
+            stack = [root]
+            walk = [(root, iter(expand(root)), 0)]  # with stack positions
+            while walk:
+                state, successors, at = walk[-1]
+                for succ in successors:
+                    if succ not in order:
+                        if reach[succ]:
+                            continue  # closed by an earlier walk
+                        if len(states) - start > state_cap:
+                            raise refusal(probe)
+                        order[succ] = low[succ] = len(order)
+                        walk.append((succ, iter(expand(succ)), len(stack)))
+                        stack.append(succ)
+                        break
+                    if not reach[succ] and order[succ] < low[state]:
+                        low[state] = order[succ]
+                else:
+                    walk.pop()
+                    if walk and low[state] < low[walk[-1][0]]:
+                        low[walk[-1][0]] = low[state]
+                    if low[state] == order[state]:
+                        component = stack[at:]
+                        del stack[at:]
+                        mask = 0
+                        for member in component:
+                            mask |= 1 << member
+                            for succ in graph[member]:
+                                mask |= reach[succ]
+                        for member in component:
+                            reach[member] = mask
+        mask = reach[root]
+        explored = mask.bit_count()
+        if explored > state_cap:
+            raise refusal(probe)
+        found = mask & normal
+        normal_forms = []
+        while found:
+            low_bit = found & -found
+            normal_forms.append(forms[low_bit.bit_length() - 1])
+            found ^= low_bit
+        normal_forms.sort()
+        results.append(ProbeResult(tuple(sorted(probe)), tuple(normal_forms), explored))
     return ConfluenceReport(tuple(results))
 
 

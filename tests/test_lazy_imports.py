@@ -42,10 +42,11 @@ print(json.dumps([code, sorted(sys.modules)]))
 SCAN = {"cli", "weyl", "git_geometry"}
 
 # Standard-library modules a light subcommand must not load: dataclasses
-# and the inspection modules it pulls in, and, for the coset scan, exact
-# rationals and random draws.
+# and the inspection modules it pulls in, exact rationals for the integral
+# confluence check, and, for the coset scan, random draws too.
 NO_RECORDS = {"dataclasses", "inspect"}
-NO_POINT = NO_RECORDS | {"fractions", "random"}
+NO_RATIONALS = NO_RECORDS | {"fractions"}
+NO_POINT = NO_RATIONALS | {"random"}
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ def test_cli_loads_only_its_modules(argv, allowed, barred):
     "argv, barred",
     [
         (["straighten", "p[2,5]*p[3,4]", "--n", "6"], NO_RECORDS),
-        (["confluence", "--symbols", "6"], NO_RECORDS),
+        (["confluence", "--symbols", "6"], NO_RATIONALS),
         (["singular-count", "--n", "6"], NO_POINT),
         (["candidates", "--n", "8", "--w", "6,8"], NO_POINT),
     ],

@@ -223,6 +223,33 @@ def test_jacobian_rows_match_the_derivative_oracle(name):
         assert case_jacobian(name, point).matrix == expected
 
 
+def test_jacobian_at_an_integral_point_runs_over_the_integers():
+    # The all-Fraction computation of the same matrix and rank is the
+    # oracle; the report holds the entries as int.
+    from schubert_git import linalg
+
+    case = case_studies.X710
+    point = [k % 5 - 2 for k in range(1, len(case.generators) + 1)]
+    assignment = {("x", k): Fraction(x) for k, x in enumerate(point, start=1)}
+    expected = tuple(
+        tuple(
+            partial_derivative(rel, ("x", k)).evaluate(assignment)
+            for k in range(1, len(point) + 1)
+        )
+        for rel in case.presentation
+    )
+    report = case_jacobian("x710", point)
+    assert report.matrix == expected
+    assert report.rank == linalg.rank(
+        [{k: x for k, x in enumerate(row) if x} for row in expected]
+    )
+    assert any(any(row) for row in report.matrix)
+    assert all(type(x) is int for row in report.matrix for x in row)
+    # A point given as integral Fractions, as the command line parses it,
+    # gives the same int matrix.
+    assert case_jacobian("x710", [Fraction(x) for x in point]) == report
+
+
 @pytest.mark.parametrize("name", ["g26", "x68", "x710"])
 def test_case_tables_are_well_formed(name):
     # A dropped or extra factor in a table entry shows as a term whose
@@ -305,6 +332,69 @@ def test_suite_records_print_reference_normal_forms(suite):
         rhs = format_plucker(reference_straighten(identity.rhs, support))
         assert (record.lhs_normal_form, record.rhs_normal_form) == (lhs, rhs)
         assert record.status == ("pass" if lhs == rhs else "fail")
+
+
+def _per_identity_records(case_name, identities, support):
+    """The suite oracle: each side straightened alone and formatted."""
+    from schubert_git.plucker import format_plucker
+    from schubert_git.presentations import IdentityRecord
+    from schubert_git.straightening import straighten
+
+    records = []
+    for identity in identities:
+        lhs = format_plucker(straighten(identity.lhs, support))
+        rhs = format_plucker(straighten(identity.rhs, support))
+        status = "pass" if lhs == rhs else "fail"
+        records.append(IdentityRecord(case_name, identity.label, status, lhs, rhs))
+    return tuple(records)
+
+
+@pytest.mark.parametrize(
+    "suite", ["g26", "x68", "x710", (10, 2), (10, 3), (20, 2), (20, 3)], ids=str
+)
+def test_suite_records_equal_the_per_identity_oracle(suite):
+    if isinstance(suite, str):
+        case = case_studies.CASES[suite]
+        support = SupportRange(case.n, case.v, case.w)
+        identities = list(case.identities) + case_studies.case_kernel_identities(case)
+        report = case_suite(suite)
+    else:
+        n, k = suite
+        support = SupportRange(n, (1, k + 1), (n // 2 + 2, n))
+        identities = case_studies.toric_identities(n, k)
+        report = toric_suite(n, k)
+    assert report.records == _per_identity_records(report.case, identities, support)
+
+
+def test_suite_straightens_each_side_object_once_and_formats_each_text_once(
+    monkeypatch,
+):
+    # At n = 20, k = 2 the 420 identities have 840 sides but 630 distinct
+    # side objects (each crossing product is one exchange's right side and
+    # one nest's left side), and 210 distinct normal forms, one per index
+    # quadruple.
+    from schubert_git import presentations
+    from schubert_git.straightening import Straightener
+
+    rows, formatted = [], []
+    batch = Straightener.batch
+    format_plucker = presentations.format_plucker
+
+    def counting_batch(self, batch_rows):
+        rows.append(len(batch_rows))
+        return batch(self, batch_rows)
+
+    def counting_format(poly):
+        formatted.append(poly)
+        return format_plucker(poly)
+
+    monkeypatch.setattr(Straightener, "batch", counting_batch)
+    monkeypatch.setattr(presentations, "format_plucker", counting_format)
+    report = toric_suite(20, 2)
+    assert len(report.records) == 420 and report.all_ok
+    assert rows == [630]
+    assert len(formatted) == 210
+    assert len({poly.key() for poly in formatted}) == 210
 
 
 @pytest.mark.parametrize("n", [10, 12, 20])

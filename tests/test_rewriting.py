@@ -237,6 +237,63 @@ def test_cyclic_system_refused_by_both():
         assert _outcome(confluence_check, system, [("a",)], cap) == expected
 
 
+def _unit_rules(*pairs):
+    return ReductionSystem(tuple(((lhs,), Poly.variable(rhs)) for lhs, rhs in pairs))
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        # A cycle with an exit: a -> b, b -> a, b -> c.
+        _unit_rules(("a", "b"), ("b", "a"), ("b", "c")),
+        # A cycle with no exit: no probe has a normal form.
+        _unit_rules(("a", "b"), ("b", "a")),
+        # A cycle entered from outside, with two exits, one behind a second
+        # cycle: d -> a, a -> b, b -> a, b -> c, a -> e, e -> f, f -> e,
+        # f -> g.
+        _unit_rules(
+            ("d", "a"), ("a", "b"), ("b", "a"), ("b", "c"), ("a", "e"),
+            ("e", "f"), ("f", "e"), ("f", "g"),
+        ),
+    ],
+    ids=["exit", "no-exit", "nested"],
+)
+def test_cycles_match_reference(system):
+    # Each rotation of the probes, forward and backward, so that a probe is
+    # met first or after earlier walks closed part of its component; and
+    # each cap from refusing the first probe to finishing.
+    tokens = sorted(
+        {t for lhs, rhs in system.rules for mono in (lhs, *rhs.terms) for t in mono}
+    )
+    probes = [(token,) for token in tokens]
+    orders = [
+        line[k:] + line[:k] for line in (probes, probes[::-1]) for k in range(len(line))
+    ]
+    outcomes = set()
+    for order in orders:
+        for cap in range(1, len(tokens) + 1):
+            expected = _outcome(reference_confluence_check, system, order, cap)
+            assert _outcome(confluence_check, system, order, cap) == expected
+            outcomes.add(expected[0] == "limit")
+    assert outcomes == {True, False}
+
+
+def test_each_state_is_expanded_once(monkeypatch):
+    import schubert_git.rewriting as rewriting
+
+    calls = []
+
+    def counting_steps(system, state):
+        calls.append(state.key())
+        return _steps(system, state)
+
+    monkeypatch.setattr(rewriting, "_steps", counting_steps)
+    report = confluence_check(nesting_reduction_system(10), matching_probes(10))
+    assert report.confluent
+    assert len(calls) == 945
+    assert len(set(calls)) == 945
+
+
 def test_state_cap_is_per_probe():
     # The six-symbol matchings come first and add 15 states to the shared
     # graph before the probe that alone reaches 105; a cap counted over the

@@ -31,3 +31,7 @@ def test_script_exits_zero(script):
         assert "full n=16: degree 3 -> 8976188," in proc.stdout
         assert "g26 at e_1: rank 0 vs codimension 1: singular" in proc.stdout
         assert "x68 at e_9: rank 2 vs codimension 4: singular" in proc.stdout
+        assert (
+            "8 symbols: 105 probes, confluent=True, forms=['y[1,8]*y[2,7]*y[3,6]*y[4,5]']"
+            in proc.stdout
+        )
